@@ -19,7 +19,6 @@
 pub mod cli;
 pub mod follow;
 pub mod ninja_scenarios;
-pub mod prebatch;
 pub mod report;
 pub mod seedpath;
 pub mod ubench;

@@ -33,10 +33,11 @@
 //!   tests against every auditor — and an empty slot short-circuits the
 //!   whole event, counted in [`DeliveryStats::fast_skipped`] exactly as the
 //!   older combined-mask check did.
-//! * [`EventMultiplexer::deliver_batch`] fans a whole staged batch out with
-//!   one finding sink, one dispatch-latency observation and flight
-//!   absorption only for events that actually produced findings or
-//!   transitions — the amortized path the batched Event Forwarder uses.
+//! * [`EventMultiplexer::deliver_all`] fans a whole exit's decoded events
+//!   out in one call — the path the Event Forwarder ([`crate::kvm::Kvm`])
+//!   uses — with one finding sink, one dispatch-latency observation and
+//!   flight absorption only for events that actually produced findings or
+//!   transitions.
 //! * Container delivery is **zero-copy**: one `Arc<Event>` is built per
 //!   event (lazily, only if some container is subscribed) and each
 //!   subscribed container receives a reference-count bump instead of a full
@@ -46,9 +47,6 @@
 //! * Findings from synchronous auditors accumulate into a single sink that
 //!   borrows the EM's own buffer via `mem::take`, instead of allocating a
 //!   fresh `Vec` per auditor per event.
-//! * [`EventMultiplexer::deliver_all`] dispatches a whole exit's decoded
-//!   events in one call, reusing the same sink across the batch — the path
-//!   the Event Forwarder ([`crate::kvm::Kvm`]) uses.
 
 use crate::audit::{Auditor, Finding, FindingSink, Severity};
 use crate::event::{Event, EventClass, EventMask, EventRef, VmId};
@@ -273,7 +271,7 @@ pub struct EventMultiplexer {
     metrics_enabled: bool,
     /// Events delivered per synchronous auditor, parallel to `auditors`.
     per_auditor_delivered: Vec<u64>,
-    /// Host wall-clock latency of one `fan_out` call, nanoseconds.
+    /// Host wall-clock latency of one `deliver_all` call, nanoseconds.
     dispatch_latency: Histogram,
     /// Findings drained so far, tallied by [`Severity`] discriminant.
     findings_by_severity: [u64; 3],
@@ -517,20 +515,8 @@ impl EventMultiplexer {
     }
 
     /// Fans one event out to subscribed auditors and containers, collecting
-    /// synchronous findings into `sink`. Wraps the real fan-out with the
-    /// (host wall-clock, simulation-invisible) dispatch-latency probe.
+    /// synchronous findings into `sink`.
     fn fan_out(&mut self, vm: &mut VmState, event: &Event, sink: &mut LocalSink) {
-        if !self.metrics_enabled {
-            self.fan_out_inner(vm, event, sink);
-            return;
-        }
-        let started = std::time::Instant::now();
-        self.fan_out_inner(vm, event, sink);
-        let elapsed = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.dispatch_latency.observe(elapsed);
-    }
-
-    fn fan_out_inner(&mut self, vm: &mut VmState, event: &Event, sink: &mut LocalSink) {
         if let Some(tap) = &mut self.tap {
             tap.on_event(event);
         }
@@ -583,46 +569,22 @@ impl EventMultiplexer {
     /// synchronous auditor requested suppression of the intercepted
     /// operation.
     pub fn dispatch(&mut self, vm: &mut VmState, event: &Event) -> bool {
-        let mut sink =
-            LocalSink { findings: std::mem::take(&mut self.findings), ..LocalSink::default() };
-        let since = sink.findings.len();
-        self.fan_out(vm, event, &mut sink);
-        self.absorb_flight(&mut sink, since, event.time);
-        self.findings = sink.findings;
-        sink.suppress
+        self.deliver_all(vm, std::slice::from_ref(event))
     }
 
-    /// Dispatches every event decoded from one exit in a single batch,
-    /// reusing one finding sink across the whole fan-out. Returns `true` if
-    /// any synchronous auditor requested suppression.
+    /// Dispatches every event decoded from one exit, in order, with the
+    /// bookkeeping amortized across the slice: one finding sink, one
+    /// dispatch-latency observation, and flight absorption only for events
+    /// that actually produced findings or transitions (so each finding
+    /// record lands right after the event that caused it). Returns `true`
+    /// if any synchronous auditor requested suppression.
     pub fn deliver_all(&mut self, vm: &mut VmState, events: &[Event]) -> bool {
+        let started = if self.metrics_enabled { Some(std::time::Instant::now()) } else { None };
         let mut sink =
             LocalSink { findings: std::mem::take(&mut self.findings), ..LocalSink::default() };
         for event in events {
             let since = sink.findings.len();
             self.fan_out(vm, event, &mut sink);
-            self.absorb_flight(&mut sink, since, event.time);
-        }
-        self.findings = sink.findings;
-        sink.suppress
-    }
-
-    /// Dispatches one staged batch of events — handed over as the (up to)
-    /// two contiguous runs of a [`crate::ring::Ring`] — with the
-    /// bookkeeping amortized across the batch: one finding sink, one
-    /// dispatch-latency observation, and flight absorption only for events
-    /// that actually produced findings or transitions. Per-event work is
-    /// otherwise identical to [`EventMultiplexer::deliver_all`] (same
-    /// fan-out order, same tap and flight-ref sequencing), so the recorded
-    /// stream and verdicts are bit-identical. Returns `true` if any
-    /// synchronous auditor requested suppression.
-    pub fn deliver_batch(&mut self, vm: &mut VmState, front: &[Event], back: &[Event]) -> bool {
-        let started = if self.metrics_enabled { Some(std::time::Instant::now()) } else { None };
-        let mut sink =
-            LocalSink { findings: std::mem::take(&mut self.findings), ..LocalSink::default() };
-        for event in front.iter().chain(back) {
-            let since = sink.findings.len();
-            self.fan_out_inner(vm, event, &mut sink);
             if !sink.transitions.is_empty() || sink.findings.len() > since {
                 self.absorb_flight(&mut sink, since, event.time);
             }
@@ -1205,11 +1167,38 @@ mod tests {
         assert_eq!(em.auditor::<CountingAuditor>().unwrap().events_seen(), 2);
     }
 
+    /// Reports one finding, on the second event it is delivered.
+    #[derive(Default)]
+    struct FlagsSecond {
+        seen: u64,
+    }
+    impl Auditor for FlagsSecond {
+        fn name(&self) -> &str {
+            "flags-second"
+        }
+        fn subscriptions(&self) -> EventMask {
+            EventMask::ALL
+        }
+        fn on_event(&mut self, _vm: &mut VmState, event: &Event, sink: &mut dyn FindingSink) {
+            self.seen += 1;
+            if self.seen == 2 {
+                sink.report(Finding::new("flags-second", event.time, Severity::Warning, "2nd"));
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     #[test]
-    fn deliver_batch_matches_deliver_all() {
-        // The same event sequence through deliver_all and through the
-        // batched (two-run) entry point must produce identical stats,
-        // auditor deliveries and flight refs.
+    fn deliver_all_matches_per_event_dispatch() {
+        // A 4-event slice through deliver_all must be indistinguishable from
+        // four dispatch calls: same stats, per-auditor deliveries and flight
+        // records. The finding raised by the second event must land right
+        // after that event, not at the end of the slice.
         let events = [
             ev(EventKind::ProcessSwitch { new_pdba: Gpa::new(1) }),
             ev(EventKind::ThreadSwitch { kernel_stack: 0x2000 }),
@@ -1220,24 +1209,36 @@ mod tests {
             }),
             ev(EventKind::HardwareInterrupt { vector: 0x20 }),
         ];
-        let mut em_a = EventMultiplexer::new();
-        let mut em_b = EventMultiplexer::new();
-        for em in [&mut em_a, &mut em_b] {
+        let build = || {
+            let mut em = EventMultiplexer::new();
             em.register(Box::new(CountingAuditor::with_mask(EventMask::only(EventClass::Syscall))));
-            em.register(Box::new(CountingAuditor::new()));
-        }
+            em.register(Box::new(FlagsSecond::default()));
+            em
+        };
+        let (mut sliced, mut single) = (build(), build());
         let mut vm = vm_state();
-        let sup_a = em_a.deliver_all(&mut vm, &events);
-        // Split mid-batch, as a wrapped ring would hand it over.
-        let sup_b = em_b.deliver_batch(&mut vm, &events[..2], &events[2..]);
-        assert_eq!(sup_a, sup_b);
-        assert_eq!(em_a.stats(), em_b.stats());
-        assert_eq!(em_a.delivered_to("counting"), em_b.delivered_to("counting"));
-        assert_eq!(em_a.flight().dump("t").records, em_b.flight().dump("t").records);
+        let sup_sliced = sliced.deliver_all(&mut vm, &events);
+        let sup_single = events.iter().fold(false, |acc, e| single.dispatch(&mut vm, e) | acc);
+        assert_eq!(sup_sliced, sup_single);
+        assert_eq!(sliced.stats(), single.stats());
+        assert_eq!(sliced.delivered_to("counting"), single.delivered_to("counting"));
+        assert_eq!(sliced.delivered_to("flags-second"), Some(4));
+        assert_eq!(single.delivered_to("flags-second"), Some(4));
+        let records = sliced.flight().dump("t").records;
+        assert_eq!(records, single.flight().dump("t").records);
+        let shape: Vec<&str> = records
+            .iter()
+            .map(|r| match r {
+                crate::flight::DumpRecord::Event { .. } => "event",
+                crate::flight::DumpRecord::Finding { .. } => "finding",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(shape, ["event", "event", "finding", "event", "event"]);
     }
 
     #[test]
-    fn deliver_batch_observes_latency_once_per_batch() {
+    fn deliver_all_observes_latency_once_per_call() {
         let mut em = EventMultiplexer::new();
         em.register(Box::new(CountingAuditor::new()));
         em.set_metrics_enabled(true);
@@ -1247,8 +1248,8 @@ mod tests {
             ev(EventKind::ProcessSwitch { new_pdba: Gpa::new(2) }),
             ev(EventKind::ProcessSwitch { new_pdba: Gpa::new(3) }),
         ];
-        em.deliver_batch(&mut vm, &events, &[]);
-        assert_eq!(em.dispatch_latency().count(), 1, "one observation per batch");
+        em.deliver_all(&mut vm, &events);
+        assert_eq!(em.dispatch_latency().count(), 1, "one observation per call");
         assert_eq!(em.stats().events_in, 3);
     }
 

@@ -9,63 +9,13 @@
 //! embedded [`EventMultiplexer`].
 
 use crate::em::EventMultiplexer;
-use crate::event::{Event, EventKind, VmId};
+use crate::event::{Event, VmId};
 use crate::intercept::{InterceptEngine, Table1Row};
 use crate::metrics::{MetricsRegistry, Spans};
-use crate::ring::{Ring, RingStats};
 use hypertap_hvsim::clock::SimTime;
 use hypertap_hvsim::exit::{ExitAction, VmExit};
 use hypertap_hvsim::machine::{Hypervisor, TimerId, VmState};
 use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
-
-/// Capacity of the staging ring between the decode and fan-out stages.
-/// Sized far above any realistic per-exit event count so backpressure
-/// flushes are the exception, while keeping the resident footprint small
-/// (`Event` is a couple hundred bytes).
-const RING_CAPACITY: usize = 256;
-
-/// Counters of the batched exit pipeline (queried by benches and tests,
-/// exported as `hypertap_pipeline_*`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Batches delivered to the EM via the staging ring.
-    pub batches: u64,
-    /// Events that travelled through the batched path.
-    pub events: u64,
-    /// Early flushes forced because an exit decoded more events than the
-    /// ring had room for (backpressure).
-    pub backpressure_flushes: u64,
-}
-
-/// Reusable scratch owned by the Event Forwarder — the `EventBatch` layer.
-///
-/// Every buffer here is allocated once (construction or first-use warmup)
-/// and reused for the lifetime of the VM, so the steady-state exit path
-/// performs no heap allocation on either the batched or the fallback
-/// route. The counting-allocator test (`tests/alloc_steady_state.rs`) pins
-/// that property down.
-struct ExitPipeline {
-    /// Decoded kinds of the current exit; cleared (not dropped) per exit.
-    kinds: Vec<EventKind>,
-    /// Wrapped-event scratch for the unbatched fallback path.
-    events: Vec<Event>,
-    /// Staging ring between decode and EM fan-out (batched path). The head
-    /// keeps advancing across exits, so staged batches routinely straddle
-    /// the physical edge — the wraparound the proptests hammer.
-    ring: Ring<Event>,
-    stats: PipelineStats,
-}
-
-impl ExitPipeline {
-    fn new() -> Self {
-        ExitPipeline {
-            kinds: Vec::with_capacity(8),
-            events: Vec::with_capacity(8),
-            ring: Ring::new(RING_CAPACITY),
-            stats: PipelineStats::default(),
-        }
-    }
-}
 
 /// The hypervisor: exit dispatch + Event Forwarder + Event Multiplexer.
 pub struct Kvm {
@@ -77,12 +27,10 @@ pub struct Kvm {
     /// Host wall-clock spans over the exit→decode→fan-out path. Disabled
     /// (one branch per exit) unless metrics are switched on.
     spans: Spans,
-    /// Reusable decode/staging buffers (never observable by the guest).
-    pipeline: ExitPipeline,
-    /// Whether exits take the batched ring path (default) or the per-event
-    /// fallback. Both produce bit-identical streams — the `BATCHED_OFF`
-    /// conformance pair enforces it.
-    batched: bool,
+    /// The current exit's decoded events, in engine install order. Cleared
+    /// (not dropped) per exit, so the steady-state exit path performs no
+    /// heap allocation (pinned by `tests/alloc_steady_state.rs`).
+    events: Vec<Event>,
 }
 
 impl std::fmt::Debug for Kvm {
@@ -110,31 +58,8 @@ impl Kvm {
             vm_id: VmId(0),
             forwarded_events: 0,
             spans: Spans::new(false),
-            pipeline: ExitPipeline::new(),
-            batched: true,
+            events: Vec::with_capacity(8),
         }
-    }
-
-    /// Selects the batched ring path (default) or the per-event fallback.
-    /// Purely a host-side performance knob: the forwarded stream, verdicts
-    /// and provenance are bit-identical either way.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched = on;
-    }
-
-    /// Whether exits take the batched ring path.
-    pub fn batched(&self) -> bool {
-        self.batched
-    }
-
-    /// Counters of the batched exit pipeline.
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline.stats
-    }
-
-    /// Counters of the decode→fan-out staging ring.
-    pub fn ring_stats(&self) -> RingStats {
-        self.pipeline.ring.stats()
     }
 
     /// Switches host-side instrumentation (pipeline spans + EM dispatch
@@ -156,34 +81,6 @@ impl Kvm {
             "hypertap_pipeline_ns",
             "host wall-clock latency per exit-pipeline stage, nanoseconds",
             reg,
-        );
-        reg.counter(
-            "hypertap_pipeline_batches_total",
-            "event batches delivered through the staging ring",
-            self.pipeline.stats.batches,
-        );
-        reg.counter(
-            "hypertap_pipeline_events_total",
-            "events that travelled the batched pipeline",
-            self.pipeline.stats.events,
-        );
-        reg.counter(
-            "hypertap_pipeline_backpressure_flushes_total",
-            "early batch flushes forced by a full staging ring",
-            self.pipeline.stats.backpressure_flushes,
-        );
-        let ring = self.pipeline.ring.stats();
-        reg.counter("hypertap_ring_pushed_total", "events staged into the ring", ring.pushed);
-        reg.counter("hypertap_ring_popped_total", "events consumed from the ring", ring.popped);
-        reg.counter(
-            "hypertap_ring_rejected_total",
-            "ring pushes refused at capacity (backpressure)",
-            ring.rejected,
-        );
-        reg.gauge(
-            "hypertap_ring_high_watermark",
-            "largest staging-ring occupancy observed",
-            ring.high_watermark as f64,
         );
         self.em.collect_metrics(reg);
     }
@@ -242,13 +139,12 @@ impl Kvm {
     }
 
     /// Serializes the Event Forwarder's deterministic state for a machine
-    /// snapshot: the forwarded-event counter, pipeline and ring counters,
-    /// every installed engine's state (framed by name, in install order),
-    /// and the embedded Event Multiplexer.
+    /// snapshot: the forwarded-event counter, every installed engine's state
+    /// (framed by name, in install order), and the embedded Event
+    /// Multiplexer.
     ///
     /// Not captured: the wall-clock span probes (host instrumentation) and
-    /// the pipeline's scratch buffers (always drained before an exit
-    /// returns, so they are empty at any snapshot point).
+    /// the per-exit event buffer (refilled from scratch on every exit).
     ///
     /// # Errors
     ///
@@ -256,16 +152,7 @@ impl Kvm {
     /// containers are attached.
     pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.varint(u64::from(self.vm_id.0));
-        w.boolean(self.batched);
         w.varint(self.forwarded_events);
-        w.varint(self.pipeline.stats.batches);
-        w.varint(self.pipeline.stats.events);
-        w.varint(self.pipeline.stats.backpressure_flushes);
-        let ring = self.pipeline.ring.stats();
-        w.varint(ring.pushed);
-        w.varint(ring.popped);
-        w.varint(ring.rejected);
-        w.varint(ring.high_watermark);
         w.varint(self.engines.len() as u64);
         for e in &self.engines {
             w.string(e.name());
@@ -281,27 +168,13 @@ impl Kvm {
     /// # Errors
     ///
     /// Returns a structured [`SnapError`] on malformed bytes or a recipe
-    /// mismatch (VM id, batched mode, or engine roster).
+    /// mismatch (VM id or engine roster).
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let start = r.offset();
         if r.varint()? != u64::from(self.vm_id.0) {
             return Err(SnapError::BadValue { offset: start, what: "vm id mismatch" });
         }
-        let start = r.offset();
-        if r.boolean()? != self.batched {
-            return Err(SnapError::BadValue { offset: start, what: "batched-mode mismatch" });
-        }
         self.forwarded_events = r.varint()?;
-        self.pipeline.stats.batches = r.varint()?;
-        self.pipeline.stats.events = r.varint()?;
-        self.pipeline.stats.backpressure_flushes = r.varint()?;
-        let ring = RingStats {
-            pushed: r.varint()?,
-            popped: r.varint()?,
-            rejected: r.varint()?,
-            high_watermark: r.varint()?,
-        };
-        self.pipeline.ring.restore_stats(ring);
         let start = r.offset();
         let n = r.count(1 << 10, "engine state blobs")?;
         if n != self.engines.len() {
@@ -322,66 +195,6 @@ impl Kvm {
         }
         self.em.restore_state(r)
     }
-
-    /// Drains everything staged in the ring into the EM as one batch,
-    /// handing the (possibly edge-straddling) contents over as the ring's
-    /// two contiguous runs — zero-copy. Returns whether any synchronous
-    /// auditor requested suppression.
-    fn flush_ring(&mut self, vm: &mut VmState) -> bool {
-        let (front, back) = self.pipeline.ring.as_slices();
-        let suppress = self.em.deliver_batch(vm, front, back);
-        let staged = self.pipeline.ring.len();
-        self.pipeline.ring.consume(staged);
-        self.pipeline.stats.batches += 1;
-        suppress
-    }
-
-    /// Batched delivery of the current exit's decoded kinds: wrap each kind
-    /// into an [`Event`] straight into the staging ring, then flush the
-    /// whole batch to the EM in one call. The ring is always fully drained
-    /// before the exit returns — suppression must be decided synchronously,
-    /// which is why the batch boundary is one exit (see DESIGN.md).
-    fn deliver_batched(&mut self, vm: &mut VmState, exit: &VmExit) -> bool {
-        let mut suppress = false;
-        self.pipeline.stats.events += self.pipeline.kinds.len() as u64;
-        for i in 0..self.pipeline.kinds.len() {
-            if self.pipeline.ring.is_full() {
-                // Backpressure: deliver the staged prefix early (in order)
-                // to make room. Ordering is preserved — the prefix fans out
-                // before anything behind it is staged.
-                self.pipeline.stats.backpressure_flushes += 1;
-                suppress |= self.flush_ring(vm);
-            }
-            let event = Event {
-                vm: self.vm_id,
-                vcpu: exit.vcpu,
-                time: exit.time,
-                kind: self.pipeline.kinds[i],
-                state: exit.state,
-            };
-            let pushed = self.pipeline.ring.try_push(event);
-            debug_assert!(pushed.is_ok(), "ring has room after a backpressure flush");
-        }
-        suppress |= self.flush_ring(vm);
-        suppress
-    }
-
-    /// Per-event fallback delivery (`batched == false`): same wrapping, but
-    /// through the EM's `deliver_all` with the reusable scratch `Vec` —
-    /// still allocation-free in the steady state.
-    fn deliver_unbatched(&mut self, vm: &mut VmState, exit: &VmExit) -> bool {
-        let vm_id = self.vm_id;
-        let ExitPipeline { kinds, events, .. } = &mut self.pipeline;
-        events.clear();
-        events.extend(kinds.iter().map(|&kind| Event {
-            vm: vm_id,
-            vcpu: exit.vcpu,
-            time: exit.time,
-            kind,
-            state: exit.state,
-        }));
-        self.em.deliver_all(vm, &self.pipeline.events)
-    }
 }
 
 impl Hypervisor for Kvm {
@@ -390,14 +203,24 @@ impl Hypervisor for Kvm {
         // One branch decides all span work for this exit; with spans off
         // neither stage reads the host clock at all.
         let spans_on = self.spans.is_enabled();
-        // 1. Logging phase: every engine inspects the exit; decoded events
-        //    are collected in order into the reusable scratch buffer. This
-        //    is the blocking part of the pipeline, shared by all monitors.
+        // 1. Logging phase: every engine inspects the exit and its decoded
+        //    events are wrapped, in install order, straight into the
+        //    reusable per-exit buffer. This is the blocking part of the
+        //    pipeline, shared by all monitors.
         let decode_started = if spans_on { self.spans.start() } else { None };
-        self.pipeline.kinds.clear();
-        let kinds = &mut self.pipeline.kinds;
+        self.events.clear();
+        let (vm_id, events) = (self.vm_id, &mut self.events);
+        let mut emit = |kind| {
+            events.push(Event {
+                vm: vm_id,
+                vcpu: exit.vcpu,
+                time: exit.time,
+                kind,
+                state: exit.state,
+            })
+        };
         for engine in &mut self.engines {
-            if engine.on_exit(vm, exit, &mut |k| kinds.push(k)) == ExitAction::Suppress {
+            if engine.on_exit(vm, exit, &mut emit) == ExitAction::Suppress {
                 action = ExitAction::Suppress;
             }
         }
@@ -406,17 +229,14 @@ impl Hypervisor for Kvm {
                 self.em.flight_mut().note_span("decode", exit.time, ns, exit.vcpu.0 as u32);
             }
         }
-        // 2. Forward to the EM in one batch; auditors run their
-        //    (independent) audit phases. A synchronous auditor may request
-        //    suppression.
-        if !self.pipeline.kinds.is_empty() {
-            self.forwarded_events += self.pipeline.kinds.len() as u64;
+        // 2. Forward the exit's events to the EM in one call; auditors run
+        //    their (independent) audit phases. A synchronous auditor may
+        //    request suppression, which is why delivery completes before
+        //    the exit returns.
+        if !self.events.is_empty() {
+            self.forwarded_events += self.events.len() as u64;
             let fanout_started = if spans_on { self.spans.start() } else { None };
-            let suppress = if self.batched {
-                self.deliver_batched(vm, exit)
-            } else {
-                self.deliver_unbatched(vm, exit)
-            };
+            let suppress = self.em.deliver_all(vm, &self.events);
             if spans_on {
                 if let Some(ns) = self.spans.record("fanout", fanout_started) {
                     self.em.flight_mut().note_span("fanout", exit.time, ns, exit.vcpu.0 as u32);
@@ -439,7 +259,8 @@ impl Hypervisor for Kvm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audit::CountingAuditor;
+    use crate::audit::{Auditor, CountingAuditor, FindingSink};
+    use crate::event::{EventKind, EventMask, EventRef};
     use crate::intercept::{IntSyscallEngine, IoEngine, ProcessSwitchEngine};
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::machine::{GuestProgram, Machine, VmConfig};
@@ -512,10 +333,9 @@ mod tests {
         }
     }
 
-    fn run_chatty(batched: bool, steps: usize) -> Machine<Kvm> {
+    fn run_chatty(steps: usize) -> Machine<Kvm> {
         let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
         let (vm, kvm) = m.parts_mut();
-        kvm.set_batched(batched);
         kvm.install(vm, Box::new(ProcessSwitchEngine::new()));
         kvm.install(vm, Box::new(IoEngine::new()));
         kvm.em.register(Box::new(CountingAuditor::new()));
@@ -523,31 +343,82 @@ mod tests {
         m
     }
 
+    /// Decodes one marker event from every exit it is shown, so an exit
+    /// another engine also decodes yields two events.
+    struct Marker;
+    impl InterceptEngine for Marker {
+        fn name(&self) -> &'static str {
+            "marker"
+        }
+        fn table1_rows(&self) -> &'static [Table1Row] {
+            &[]
+        }
+        fn enable(&mut self, _vm: &mut VmState) {}
+        fn disable(&mut self, _vm: &mut VmState) {}
+        fn on_exit(
+            &mut self,
+            _vm: &mut VmState,
+            _exit: &VmExit,
+            emit: &mut dyn FnMut(EventKind),
+        ) -> ExitAction {
+            emit(EventKind::HardwareInterrupt { vector: 0xee });
+            ExitAction::Resume
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Records every delivered event with the ref the EM stamped on it.
+    #[derive(Default)]
+    struct Arrivals(Vec<(EventRef, EventKind, SimTime)>);
+    impl Auditor for Arrivals {
+        fn name(&self) -> &str {
+            "arrivals"
+        }
+        fn subscriptions(&self) -> EventMask {
+            EventMask::ALL
+        }
+        fn on_event(&mut self, _vm: &mut VmState, event: &Event, sink: &mut dyn FindingSink) {
+            let at = sink.current_ref().expect("delivered events carry a ref");
+            self.0.push((at, event.kind, event.time));
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     #[test]
-    fn batched_and_unbatched_paths_are_equivalent() {
-        let on = run_chatty(true, 6);
-        let off = run_chatty(false, 6);
-        assert_eq!(on.hypervisor().forwarded_events(), off.hypervisor().forwarded_events());
-        assert_eq!(on.hypervisor().em.stats(), off.hypervisor().em.stats());
-        assert_eq!(
-            on.hypervisor().em.flight().dump("t").records,
-            off.hypervisor().em.flight().dump("t").records,
-            "flight streams (events, refs, order) must be bit-identical"
-        );
-        // Only the batched run exercises the ring.
-        let stats = on.hypervisor().pipeline_stats();
-        assert!(stats.batches >= 6, "at least one batch per eventful exit");
-        assert_eq!(stats.events, on.hypervisor().forwarded_events());
-        assert_eq!(off.hypervisor().pipeline_stats(), PipelineStats::default());
-        let ring = on.hypervisor().ring_stats();
-        assert_eq!(ring.pushed, stats.events);
-        assert_eq!(ring.popped, ring.pushed, "every staged event was delivered");
-        assert_eq!(ring.rejected, 0);
+    fn one_exit_delivers_events_in_engine_install_order() {
+        let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
+        let (vm, kvm) = m.parts_mut();
+        kvm.install(vm, Box::new(ProcessSwitchEngine::new()));
+        kvm.install(vm, Box::new(Marker));
+        kvm.em.register(Box::new(Arrivals::default()));
+        m.run_steps(&mut Switcher, 3);
+        let seen = &m.hypervisor().em.auditor::<Arrivals>().unwrap().0;
+        assert_eq!(seen.len(), 6, "each CR3 exit fires both engines");
+        assert_eq!(m.hypervisor().forwarded_events(), 6);
+        for pair in seen.chunks(2) {
+            assert!(
+                matches!(pair[0].1, EventKind::ProcessSwitch { .. }),
+                "the first-installed engine's event arrives first: {pair:?}"
+            );
+            assert_eq!(pair[1].1, EventKind::HardwareInterrupt { vector: 0xee });
+            assert_eq!(pair[0].2, pair[1].2, "both events come from the same exit");
+        }
+        let first = seen[0].0 .0;
+        for (k, (at, _, _)) in seen.iter().enumerate() {
+            assert_eq!(*at, EventRef(first + k as u64), "refs are consecutive in arrival order");
+        }
     }
 
     #[test]
     fn disabled_spans_never_touch_the_host_clock() {
-        let m = run_chatty(true, 8);
+        let m = run_chatty(8);
         assert_eq!(
             m.hypervisor().spans.timestamps_taken(),
             0,
@@ -564,17 +435,22 @@ mod tests {
 
     #[test]
     fn pipeline_metrics_are_exported() {
-        let m = run_chatty(true, 4);
+        let m = run_chatty(4);
         let mut reg = crate::metrics::MetricsRegistry::new();
         m.hypervisor().collect_metrics(&mut reg);
-        let events = m.hypervisor().forwarded_events();
         assert_eq!(
-            reg.find("hypertap_pipeline_events_total", &[]).unwrap().as_counter(),
-            Some(events)
+            reg.find("hypertap_ef_forwarded_events_total", &[]).unwrap().as_counter(),
+            Some(m.hypervisor().forwarded_events())
         );
-        assert_eq!(reg.find("hypertap_ring_pushed_total", &[]).unwrap().as_counter(), Some(events));
-        assert_eq!(reg.find("hypertap_ring_rejected_total", &[]).unwrap().as_counter(), Some(0));
-        assert!(reg.find("hypertap_ring_high_watermark", &[]).unwrap().as_gauge().unwrap() >= 1.0);
+        // One delivery path: no staging-ring or batch series exist.
+        for name in [
+            "hypertap_pipeline_batches_total",
+            "hypertap_pipeline_events_total",
+            "hypertap_pipeline_backpressure_flushes_total",
+        ] {
+            assert!(reg.find(name, &[]).is_none(), "{name} must not be exported");
+        }
+        assert!(reg.entries().iter().all(|e| !e.name.starts_with("hypertap_ring_")));
     }
 
     #[test]

@@ -92,7 +92,6 @@ pub mod latency;
 pub mod metrics;
 pub mod profile;
 pub mod rhc;
-pub mod ring;
 pub mod telemetry;
 pub mod vmi;
 
@@ -111,14 +110,13 @@ pub mod prelude {
         FastSyscallEngine, FineGrainedEngine, IntSyscallEngine, InterceptEngine, IoEngine,
         ProcessSwitchEngine, ThreadSwitchEngine, TssIntegrityEngine,
     };
-    pub use crate::kvm::{Kvm, PipelineStats};
+    pub use crate::kvm::Kvm;
     pub use crate::latency::{DetectionLatency, EventIndex, InjectionRecord, LatencySample};
     pub use crate::metrics::{
         collect_vm, Histogram, MetricValue, MetricsArg, MetricsRegistry, Spans,
     };
     pub use crate::profile::OsProfile;
     pub use crate::rhc::{HeartbeatSample, RemoteHealthChecker, RhcTransport};
-    pub use crate::ring::{Ring, RingStats};
     pub use crate::telemetry::{
         FindingBus, FindingSubscriber, SelfWatch, TelemetryHub, TelemetryServer, VmPhase, VmProbe,
         VmStatus, WorkerHealth,

@@ -1,12 +1,8 @@
 //! Steady-state allocation audit of the exit hot path.
 //!
 //! The forwarder→EM→auditor path must not allocate once warmed up: the
-//! decode scratch, the staging ring and the EM's findings buffer are all
-//! reused across exits. Before the batched-pipeline rework,
-//! `Kvm::handle_exit` built two fresh `Vec`s per eventful exit (one of
-//! `EventKind`s from the engines, one of assembled `Event`s), so this test
-//! failed with hundreds of counted allocations; it now passes with zero on
-//! both the batched and the unbatched fallback path.
+//! per-exit event buffer and the EM's findings buffer are both reused
+//! across exits.
 //!
 //! Lives in `tests/` so the counting `#[global_allocator]` is scoped to
 //! this one integration-test binary.
@@ -50,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Two engines' worth of traffic per step: a context switch and a port
-/// write — the same workload the pipeline equivalence tests use.
+/// write — the same workload the forwarder's unit tests use.
 struct Chatty;
 impl GuestProgram for Chatty {
     fn step(&mut self, cpu: &mut CpuCtx<'_>) -> StepOutcome {
@@ -60,20 +56,15 @@ impl GuestProgram for Chatty {
     }
 }
 
-fn steady_state_allocs(batched: bool) -> u64 {
-    // The armed window must not overlap another test's allocations: the
-    // harness runs tests on concurrent threads, and ARMED is global.
-    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = SERIAL.lock().unwrap();
-
+#[test]
+fn exit_path_is_allocation_free_in_steady_state() {
     let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
     let (vm, kvm) = m.parts_mut();
-    kvm.set_batched(batched);
     kvm.install(vm, Box::new(ProcessSwitchEngine::new()));
     kvm.install(vm, Box::new(IoEngine::new()));
     kvm.em.register(Box::new(CountingAuditor::new()));
 
-    // Warm up: first exits grow the decode scratch to its working size and
+    // Warm up: first exits grow the per-exit event buffer to its working size and
     // fill the flight recorder's fixed ring.
     m.run_steps(&mut Chatty, 300);
 
@@ -81,21 +72,9 @@ fn steady_state_allocs(batched: bool) -> u64 {
     ARMED.store(true, Ordering::SeqCst);
     m.run_steps(&mut Chatty, 200);
     ARMED.store(false, Ordering::SeqCst);
-    let counted = ALLOCS.load(Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
 
     // The workload really ran through the whole path.
     assert!(m.hypervisor().forwarded_events() >= 1000);
-    counted
-}
-
-#[test]
-fn batched_path_is_allocation_free_in_steady_state() {
-    let allocs = steady_state_allocs(true);
-    assert_eq!(allocs, 0, "batched exit path allocated {allocs} times in steady state");
-}
-
-#[test]
-fn unbatched_fallback_is_allocation_free_in_steady_state() {
-    let allocs = steady_state_allocs(false);
-    assert_eq!(allocs, 0, "unbatched exit path allocated {allocs} times in steady state");
+    assert_eq!(allocs, 0, "exit path allocated {allocs} times in steady state");
 }

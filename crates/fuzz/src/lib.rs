@@ -34,13 +34,13 @@ use crate::mutate::mutate_scenario;
 use hypertap_core::coverage::CoverageMap;
 use hypertap_hvsim::clock::Duration;
 use hypertap_replay::prelude::*;
-use hypertap_replay::scenario::{ConfigVariant, BATCHED_OFF, EXTRA_BITMAP, FLIGHT_OFF, NO_TLB};
+use hypertap_replay::scenario::{ConfigVariant, EXTRA_BITMAP, FLIGHT_OFF, NO_TLB};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 
 /// The Exact-policy partner variants a scenario input is diffed against.
-pub const PARTNERS: [&ConfigVariant; 4] = [&NO_TLB, &BATCHED_OFF, &FLIGHT_OFF, &EXTRA_BITMAP];
+pub const PARTNERS: [&ConfigVariant; 3] = [&NO_TLB, &FLIGHT_OFF, &EXTRA_BITMAP];
 
 /// A fuzzing budget and strategy.
 #[derive(Debug, Clone)]

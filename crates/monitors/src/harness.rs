@@ -106,7 +106,6 @@ pub struct TapVmBuilder {
     metrics: bool,
     flight: Option<bool>,
     flight_capacity: Option<usize>,
-    batched: Option<bool>,
     vm_id: VmId,
 }
 
@@ -130,7 +129,6 @@ impl TapVmBuilder {
             metrics: false,
             flight: None,
             flight_capacity: None,
-            batched: None,
             vm_id: VmId(0),
         }
     }
@@ -245,16 +243,6 @@ impl TapVmBuilder {
         self
     }
 
-    /// Selects the Event Forwarder's batched ring path or the per-event
-    /// fallback. When not called, batching is on unless the
-    /// `HYPERTAP_NO_BATCH` environment variable is set — the knob the
-    /// `BATCHED_OFF` conformance pair uses to prove both paths produce
-    /// bit-identical streams.
-    pub fn batched(mut self, enabled: bool) -> Self {
-        self.batched = Some(enabled);
-        self
-    }
-
     /// Builds the monitored VM (guest not yet booted; it boots on the first
     /// step of [`TapVm::run_for`]).
     pub fn build(self) -> TapVm {
@@ -266,9 +254,6 @@ impl TapVmBuilder {
         {
             let (vm, kvm) = machine.parts_mut();
             kvm.set_metrics_enabled(self.metrics);
-            kvm.set_batched(
-                self.batched.unwrap_or_else(|| std::env::var_os("HYPERTAP_NO_BATCH").is_none()),
-            );
             if let Some(on) = self.flight {
                 kvm.em.flight_mut().set_enabled(on);
             }
@@ -477,24 +462,6 @@ mod tests {
         assert!(off.machine.hypervisor().em.flight().next_ref().0 > 0);
         let dump = off.flight_dump("smoke");
         assert!(hypertap_core::prelude::FlightDump::decode(&dump).is_ok());
-    }
-
-    #[test]
-    fn batched_knob_reaches_the_forwarder() {
-        let default = TapVm::builder().build();
-        assert!(default.machine.hypervisor().batched(), "batching is on by default");
-        let mut off = TapVm::builder().batched(false).build();
-        assert!(!off.machine.hypervisor().batched());
-        off.run_for(Duration::from_millis(10));
-        assert_eq!(
-            off.machine.hypervisor().pipeline_stats(),
-            hypertap_core::prelude::PipelineStats::default(),
-            "fallback path must not touch the ring"
-        );
-        let mut on = TapVm::builder().batched(true).build();
-        on.run_for(Duration::from_millis(10));
-        let stats = on.machine.hypervisor().pipeline_stats();
-        assert!(stats.batches > 0 && stats.events > 0);
     }
 
     #[test]

@@ -39,8 +39,10 @@ use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
 /// Magic bytes opening every `.htsp` snapshot.
 pub const HTSP_MAGIC: &[u8; 4] = b"HTSP";
 
-/// Current `.htsp` format version.
-pub const HTSP_VERSION: u64 = 1;
+/// Current `.htsp` format version. Version 2 dropped the Event
+/// Forwarder's batching flag and staging-ring counters from the hypervisor
+/// section; version-1 blobs are rejected as unsupported.
+pub const HTSP_VERSION: u64 = 2;
 
 impl TapVm {
     /// Serializes the whole monitored VM into a versioned `.htsp` blob.

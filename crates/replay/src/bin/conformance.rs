@@ -1,15 +1,22 @@
 //! Differential conformance fuzzer.
 //!
-//! Samples seeded guest scenarios and runs each under configuration pairs
-//! that must be logging-equivalent — software TLB on/off (exact), fine vs
-//! coarse interception (projected onto the shared classes), and extra
-//! never-firing exception-bitmap vectors (exact) — then diffs the recorded
-//! traces and cross-checks that replaying the baseline trace reproduces
-//! the live verdict. The flight-recorder pair (retention on/off, exact)
-//! rides in the same table. When a pair diverges, both sides' flight
-//! recorders are dumped to `.htfr` files and the paths printed; every
-//! replayed verdict's finding provenance is validated against the trace
-//! it cites.
+//! Samples seeded guest scenarios and runs each under the seven
+//! configuration pairs of `conformance_pairs` that must be
+//! logging-equivalent to the baseline:
+//!
+//! * software TLB off (exact);
+//! * coarse interception (projected onto the shared classes);
+//! * extra never-firing exception-bitmap vectors (exact);
+//! * metrics instrumentation on (exact);
+//! * flight-recorder retention off (exact);
+//! * a snapshot/restore cycle every few slices (exact);
+//! * the live telemetry plane attached (exact).
+//!
+//! It diffs the recorded traces and cross-checks that replaying the
+//! baseline trace reproduces the live verdict. When a pair diverges, both
+//! sides' flight recorders are dumped to `.htfr` files and the paths
+//! printed; every replayed verdict's finding provenance is validated
+//! against the trace it cites.
 //!
 //! ```text
 //! cargo run --release -p hypertap-replay --bin conformance -- \

@@ -153,10 +153,6 @@ pub struct ConfigVariant {
     /// event ordinals (and so finding provenance) advance identically
     /// either way, and the trace must be byte-identical.
     pub flight: bool,
-    /// Event Forwarder batched ring path (default) or per-event fallback.
-    /// A pure performance knob: event ordering, verdicts and provenance
-    /// must be bit-identical on both paths.
-    pub batched: bool,
 }
 
 /// The baseline configuration every pair compares against.
@@ -167,7 +163,6 @@ pub const BASE: ConfigVariant = ConfigVariant {
     extra_vectors: &[],
     metrics: false,
     flight: true,
-    batched: true,
 };
 
 /// Baseline with the software TLB off.
@@ -178,7 +173,6 @@ pub const NO_TLB: ConfigVariant = ConfigVariant {
     extra_vectors: &[],
     metrics: false,
     flight: true,
-    batched: true,
 };
 
 /// Baseline with the coarse engine subset.
@@ -189,7 +183,6 @@ pub const COARSE: ConfigVariant = ConfigVariant {
     extra_vectors: &[],
     metrics: false,
     flight: true,
-    batched: true,
 };
 
 /// Baseline with never-firing exception vectors added to the exit
@@ -202,7 +195,6 @@ pub const EXTRA_BITMAP: ConfigVariant = ConfigVariant {
     extra_vectors: &[0x21, 0x7f, 0xf1],
     metrics: false,
     flight: true,
-    batched: true,
 };
 
 /// Baseline with full metrics instrumentation (pipeline spans, dispatch
@@ -215,7 +207,6 @@ pub const METRICS_ON: ConfigVariant = ConfigVariant {
     extra_vectors: &[],
     metrics: true,
     flight: true,
-    batched: true,
 };
 
 /// Baseline with flight-recorder retention switched off. Ordinal
@@ -229,20 +220,6 @@ pub const FLIGHT_OFF: ConfigVariant = ConfigVariant {
     extra_vectors: &[],
     metrics: false,
     flight: false,
-    batched: true,
-};
-
-/// Baseline with the Event Forwarder's batched ring path switched off
-/// (per-event fallback). Batching is pure plumbing between decode and
-/// fan-out: the trace, verdict and provenance must match [`BASE`] exactly.
-pub const BATCHED_OFF: ConfigVariant = ConfigVariant {
-    label: "tlb-on/batch-off",
-    tlb: true,
-    fine: true,
-    extra_vectors: &[],
-    metrics: false,
-    flight: true,
-    batched: false,
 };
 
 /// Baseline knobs, but driven through a snapshot/restore cycle: the run is
@@ -258,7 +235,6 @@ pub const SNAPSHOT_CYCLE: ConfigVariant = ConfigVariant {
     extra_vectors: &[],
     metrics: false,
     flight: true,
-    batched: true,
 };
 
 /// How many 10 ms slices a [`SNAPSHOT_CYCLE`] run takes between snapshot
@@ -277,7 +253,6 @@ pub const TELEMETRY_ON: ConfigVariant = ConfigVariant {
     extra_vectors: &[],
     metrics: false,
     flight: true,
-    batched: true,
 };
 
 /// The configuration pairs the fuzzer differences, with their policies.
@@ -288,7 +263,6 @@ pub fn conformance_pairs() -> Vec<(ConfigVariant, ConfigVariant, DiffPolicy)> {
         (BASE, EXTRA_BITMAP, DiffPolicy::Exact),
         (BASE, METRICS_ON, DiffPolicy::Exact),
         (BASE, FLIGHT_OFF, DiffPolicy::Exact),
-        (BASE, BATCHED_OFF, DiffPolicy::Exact),
         (BASE, SNAPSHOT_CYCLE, DiffPolicy::Exact),
         (BASE, TELEMETRY_ON, DiffPolicy::Exact),
     ]
@@ -482,7 +456,6 @@ pub fn build_scenario_vm(scenario: &Scenario, variant: &ConfigVariant, id: VmId)
         .tlb(variant.tlb)
         .metrics(variant.metrics)
         .flight(variant.flight)
-        .batched(variant.batched)
         .build();
     for &v in variant.extra_vectors {
         vm.machine.vm_mut().controls_mut().set_exception_exiting(v, true);
@@ -726,22 +699,6 @@ mod tests {
         relabeled.config = live.config.clone();
         assert_eq!(relabeled, live);
         assert_eq!(live_dark.findings_provenance, live.findings_provenance);
-    }
-
-    #[test]
-    fn batched_pair_is_conformant_and_verdicts_match() {
-        // The tentpole's determinism proof: the batched ring path and the
-        // per-event fallback must record byte-identical traces and reach
-        // the same verdict — provenance refs included — under Exact.
-        let s = Scenario::sample(7, 5);
-        let (base, live) = run_scenario(&s, &BASE);
-        let (unbatched, live_unbatched) = run_scenario(&s, &BATCHED_OFF);
-        assert_eq!(diff_traces(&base, &unbatched, DiffPolicy::Exact), None);
-        let mut relabeled = live_unbatched.clone();
-        relabeled.config = live.config.clone();
-        assert_eq!(relabeled, live);
-        assert_eq!(live_unbatched.findings_provenance, live.findings_provenance);
-        assert!(base.event_count() > 0);
     }
 
     #[test]

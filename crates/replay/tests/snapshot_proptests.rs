@@ -4,9 +4,8 @@
 //! indistinguishable from never interrupting it.
 //!
 //! The property sweeps random scenarios (workload mixes, lock faults,
-//! rootkit insertions) across vCPU counts 1–4, software TLB on/off and the
-//! batched exit pipeline on/off, and compares *everything* the monitoring
-//! stack produces: findings (with their provenance [`EventRef`]s), the
+//! rootkit insertions) across vCPU counts 1–4 and software TLB on/off, and
+//! compares *everything* the monitoring stack produces: findings (with their provenance [`EventRef`]s), the
 //! recorded HTRC trace bytes, the EM delivery counters, and the merged
 //! metrics snapshot.
 //!
@@ -29,22 +28,9 @@ use proptest::prelude::*;
 const CAP: Duration = Duration::from_millis(40);
 const SLICE: Duration = Duration::from_millis(10);
 
-fn variant_for(tlb: bool, batched: bool) -> ConfigVariant {
-    let label = match (tlb, batched) {
-        (true, true) => "snapprop/tlb-on/batch-on",
-        (true, false) => "snapprop/tlb-on/batch-off",
-        (false, true) => "snapprop/tlb-off/batch-on",
-        (false, false) => "snapprop/tlb-off/batch-off",
-    };
-    ConfigVariant {
-        label,
-        tlb,
-        fine: true,
-        extra_vectors: &[],
-        metrics: false,
-        flight: true,
-        batched,
-    }
+fn variant_for(tlb: bool) -> ConfigVariant {
+    let label = if tlb { "snapprop/tlb-on" } else { "snapprop/tlb-off" };
+    ConfigVariant { label, tlb, fine: true, extra_vectors: &[], metrics: false, flight: true }
 }
 
 /// Everything a run produces that the equivalence contract covers.
@@ -113,14 +99,13 @@ fn run_interrupted(s: &Scenario, v: &ConfigVariant, boundary: u64) -> Outcome {
 
 proptest! {
     /// snapshot → restore → run ≡ run, over scenarios × vCPUs 1–4 ×
-    /// TLB on/off × batched on/off × random interruption boundary.
+    /// TLB on/off × random interruption boundary.
     #[test]
     fn snapshot_restore_run_equals_uninterrupted_run(
         seed in 0u64..u64::MAX,
         ordinal in 0u64..64,
         vcpus in 1usize..=4,
         tlb in any::<bool>(),
-        batched in any::<bool>(),
         boundary in 0u64..5,
     ) {
         let mut s = Scenario::sample(seed, ordinal);
@@ -128,13 +113,13 @@ proptest! {
         if s.duration > CAP {
             s.duration = CAP;
         }
-        let v = variant_for(tlb, batched);
+        let v = variant_for(tlb);
         let control = run_uninterrupted(&s, &v);
         let interrupted = run_interrupted(&s, &v, boundary);
         prop_assert_eq!(
             &interrupted.findings, &control.findings,
-            "{} vcpus={} tlb={} batched={} boundary={}: findings (with provenance) must match",
-            s.name, vcpus, tlb, batched, boundary
+            "{} vcpus={} tlb={} boundary={}: findings (with provenance) must match",
+            s.name, vcpus, tlb, boundary
         );
         prop_assert_eq!(&interrupted.stats, &control.stats, "{}: delivery stats", s.name);
         prop_assert_eq!(

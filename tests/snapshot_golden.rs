@@ -122,6 +122,11 @@ fn version_skew_is_a_structured_error() {
     skewed[4] = 9; // the version varint follows the 4-byte magic
     let mut vm = build_scenario_vm(scenario, &BASE, VmId(0));
     assert_eq!(vm.restore(&skewed), Err(SnapError::UnsupportedVersion(9)));
+    // Version 1 carried the forwarder's staging-ring state; its hypervisor
+    // section no longer parses, so it must be refused up front.
+    let mut v1 = checked_in(name);
+    v1[4] = 1;
+    assert_eq!(vm.restore(&v1), Err(SnapError::UnsupportedVersion(1)));
     let mut wrong_magic = checked_in(name);
     wrong_magic[0] = b'X';
     assert_eq!(vm.restore(&wrong_magic), Err(SnapError::BadMagic));
