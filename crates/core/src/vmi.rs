@@ -11,7 +11,7 @@
 //! counts against.
 
 use crate::profile::{OsProfile, TaskState, TaskView};
-use hypertap_hvsim::mem::{Gpa, GuestMemory, Gva};
+use hypertap_hvsim::mem::{Gpa, GuestMemory, Gva, PAGE_SIZE};
 use hypertap_hvsim::paging::{self, PageFault};
 use std::fmt;
 
@@ -63,21 +63,28 @@ pub fn read_u64(mem: &GuestMemory, cr3: Gpa, gva: Gva) -> Result<u64, VmiError> 
 /// Returns [`VmiError::PageFault`] if any page of the range does not
 /// translate.
 pub fn read_bytes(mem: &GuestMemory, cr3: Gpa, gva: Gva, len: u64) -> Result<Vec<u8>, VmiError> {
-    let mut out = Vec::with_capacity(len as usize);
+    let mut out = vec![0u8; len as usize];
     let mut done = 0u64;
     while done < len {
         let addr = gva.offset(done);
         let gpa = paging::walk(mem, cr3, addr)?;
-        let chunk = u64::min(len - done, hypertap_hvsim::mem::PAGE_SIZE - addr.page_offset());
-        let mut buf = vec![0u8; chunk as usize];
-        mem.read(gpa, &mut buf);
-        out.extend_from_slice(&buf);
+        let chunk = u64::min(len - done, PAGE_SIZE - addr.page_offset());
+        mem.read(gpa, &mut out[done as usize..(done + chunk) as usize]);
         done += chunk;
     }
     Ok(out)
 }
 
+/// Longest `comm` the single-walk decode reads into its stack buffer;
+/// longer names take the per-field path.
+const COMM_BUF: usize = 64;
+
 /// Decodes the `task_struct` at `gva` into a [`TaskView`].
+///
+/// When every decoded field and `comm` lie in one page and that page
+/// translates, the page is walked once and each field is read at its offset
+/// from it. Otherwise each field is walked and read on its own, so a struct
+/// that crosses a page or faults yields the same view or the same error.
 ///
 /// # Errors
 ///
@@ -88,10 +95,63 @@ pub fn read_task(
     profile: &OsProfile,
     gva: Gva,
 ) -> Result<TaskView, VmiError> {
+    match read_task_in_page(mem, cr3, profile, gva) {
+        Some(task) => Ok(task),
+        None => read_task_per_field(mem, cr3, profile, gva),
+    }
+}
+
+/// The single-walk decode of [`read_task`]; `None` when the fields span
+/// pages, `comm` is too long for the stack buffer, or the page faults.
+fn read_task_in_page(
+    mem: &GuestMemory,
+    cr3: Gpa,
+    profile: &OsProfile,
+    gva: Gva,
+) -> Option<TaskView> {
+    let comm_len = usize::try_from(profile.ts_comm_len).ok().filter(|&n| n <= COMM_BUF)?;
+    let words = [
+        profile.ts_pid,
+        profile.ts_state,
+        profile.ts_uid,
+        profile.ts_euid,
+        profile.ts_parent,
+        profile.ts_pdba,
+        profile.ts_kstack,
+    ];
+    let lo = words.iter().fold(profile.ts_comm, |lo, &off| lo.min(off));
+    let hi = words.iter().fold(profile.ts_comm + profile.ts_comm_len, |hi, &off| hi.max(off + 8));
+    let first = gva.offset(lo);
+    if first.page_offset() + (hi - lo) > PAGE_SIZE {
+        return None;
+    }
+    let page = paging::walk(mem, cr3, first).ok()?;
+    let at = |off: u64| page.offset(off - lo);
+    let f = |off: u64| mem.read_u64(at(off));
+    let mut comm = [0u8; COMM_BUF];
+    mem.read(at(profile.ts_comm), &mut comm[..comm_len]);
+    Some(TaskView {
+        gva,
+        pid: f(profile.ts_pid),
+        state: TaskState::from_raw(f(profile.ts_state)),
+        uid: f(profile.ts_uid),
+        euid: f(profile.ts_euid),
+        parent: Gva::new(f(profile.ts_parent)),
+        pdba: f(profile.ts_pdba),
+        kstack: f(profile.ts_kstack),
+        comm: comm_name(&comm[..comm_len]),
+    })
+}
+
+/// The per-field decode of [`read_task`]: one walk per field.
+fn read_task_per_field(
+    mem: &GuestMemory,
+    cr3: Gpa,
+    profile: &OsProfile,
+    gva: Gva,
+) -> Result<TaskView, VmiError> {
     let f = |off: u64| read_u64(mem, cr3, gva.offset(off));
     let comm_raw = read_bytes(mem, cr3, gva.offset(profile.ts_comm), profile.ts_comm_len)?;
-    let comm_end = comm_raw.iter().position(|&b| b == 0).unwrap_or(comm_raw.len());
-    let comm = String::from_utf8_lossy(&comm_raw[..comm_end]).into_owned();
     Ok(TaskView {
         gva,
         pid: f(profile.ts_pid)?,
@@ -101,8 +161,14 @@ pub fn read_task(
         parent: Gva::new(f(profile.ts_parent)?),
         pdba: f(profile.ts_pdba)?,
         kstack: f(profile.ts_kstack)?,
-        comm,
+        comm: comm_name(&comm_raw),
     })
+}
+
+/// A `comm` field as text: the bytes up to the first NUL.
+fn comm_name(raw: &[u8]) -> String {
+    let end = raw.iter().position(|&b| b == 0).unwrap_or(raw.len());
+    String::from_utf8_lossy(&raw[..end]).into_owned()
 }
 
 /// Walks the guest's task list, decoding every linked `task_struct`.
@@ -128,8 +194,6 @@ pub fn list_tasks(
             return Err(VmiError::ListTooLong { max });
         }
         let task = read_task(mem, cr3, profile, node)?;
-        let next = task.parent; // placeholder to satisfy borrow below
-        let _ = next;
         let next_gva = Gva::new(read_u64(mem, cr3, node.offset(profile.ts_next))?);
         out.push(task);
         node = next_gva;
@@ -157,7 +221,7 @@ pub fn parent_of(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypertap_hvsim::mem::{Gfn, PAGE_SIZE};
+    use hypertap_hvsim::mem::Gfn;
     use hypertap_hvsim::paging::{AddressSpaceBuilder, FrameAllocator};
 
     /// Builds a small kernel image in guest memory: a task list of three
@@ -281,5 +345,93 @@ mod tests {
         mem.write(gpa2, &[5, 6, 7, 8]);
         let got = read_bytes(&mem, cr3, gva, 8).unwrap();
         assert_eq!(got, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    /// Fills every decoded field of a `task_struct` at `gva`, distinct per
+    /// field, writing byte by byte so the struct may straddle pages.
+    fn write_task(mem: &mut GuestMemory, cr3: Gpa, profile: &OsProfile, gva: Gva, seed: u64) {
+        let mut put = |off: u64, bytes: &[u8]| {
+            for (i, b) in bytes.iter().enumerate() {
+                let gpa = paging::walk(mem, cr3, gva.offset(off + i as u64)).unwrap();
+                mem.write(gpa, &[*b]);
+            }
+        };
+        for (k, off) in [
+            profile.ts_pid,
+            profile.ts_state,
+            profile.ts_uid,
+            profile.ts_euid,
+            profile.ts_parent,
+            profile.ts_pdba,
+            profile.ts_kstack,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            put(off, &(seed * 100 + k as u64).to_le_bytes());
+        }
+        put(profile.ts_comm, b"straddler\0\0\0\0\0\0\0");
+    }
+
+    #[test]
+    fn in_page_task_decodes_like_the_per_field_walk() {
+        let (mem, cr3, profile, t) = build_world();
+        // The same bytes seen through a layout whose first field is not at
+        // offset 0.
+        let shifted = OsProfile {
+            ts_pid: profile.ts_pid + 8,
+            ts_state: profile.ts_state + 8,
+            ts_uid: profile.ts_uid + 8,
+            ts_euid: profile.ts_euid + 8,
+            ts_parent: profile.ts_parent + 8,
+            ts_pdba: profile.ts_pdba + 8,
+            ts_kstack: profile.ts_kstack + 8,
+            ts_comm: profile.ts_comm + 8,
+            ..profile.clone()
+        };
+        for &task in &t {
+            for (profile, gva) in [(&profile, task), (&shifted, Gva::new(task.value() - 8))] {
+                let fast = read_task_in_page(&mem, cr3, profile, gva).expect("single-walk path");
+                assert_eq!(Ok(fast.clone()), read_task_per_field(&mem, cr3, profile, gva));
+                assert_eq!(Ok(fast), read_task(&mem, cr3, profile, gva));
+            }
+        }
+    }
+
+    #[test]
+    fn page_straddling_task_decodes_like_the_per_field_walk() {
+        let (mut mem, cr3, profile, _) = build_world();
+        // Split the 88-byte struct across pages 1 and 2 at several points.
+        for back in [1, 8, 40, 72, 80, 87] {
+            let task = Gva::new(0x3000_0000 + 2 * PAGE_SIZE - back);
+            write_task(&mut mem, cr3, &profile, task, back);
+            assert!(read_task_in_page(&mem, cr3, &profile, task).is_none());
+            let per_field = read_task_per_field(&mem, cr3, &profile, task).unwrap();
+            assert_eq!(per_field.pid, back * 100);
+            assert_eq!(per_field.kstack, back * 100 + 6);
+            assert_eq!(per_field.comm, "straddler");
+            assert_eq!(read_task(&mem, cr3, &profile, task), Ok(per_field));
+        }
+    }
+
+    #[test]
+    fn unmapped_task_fails_like_the_per_field_walk() {
+        let (mem, cr3, profile, _) = build_world();
+        // Wholly unmapped, and straddling off the end of the mapped range
+        // (the first fields translate, the tail faults).
+        for task in [Gva::new(0x0900_0000), Gva::new(0x3000_0000 + 4 * PAGE_SIZE - 40)] {
+            let per_field = read_task_per_field(&mem, cr3, &profile, task);
+            assert!(matches!(per_field, Err(VmiError::PageFault(_))), "{per_field:?}");
+            assert_eq!(read_task(&mem, cr3, &profile, task), per_field);
+        }
+    }
+
+    #[test]
+    fn listed_tasks_equal_the_per_field_decode() {
+        let (mem, cr3, profile, _) = build_world();
+        let tasks = list_tasks(&mem, cr3, &profile, 100).unwrap();
+        for task in &tasks {
+            assert_eq!(Ok(task.clone()), read_task_per_field(&mem, cr3, &profile, task.gva));
+        }
     }
 }

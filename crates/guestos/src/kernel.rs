@@ -41,6 +41,11 @@ use std::collections::{HashSet, VecDeque};
 /// Timer interrupt vector (the scheduler tick).
 pub const TIMER_VECTOR: u8 = 0x20;
 
+/// Most finished kernel executions kept for reuse. Bounds the host memory
+/// the spares hold; more than this many tasks rarely leave the kernel
+/// between two syscall entries.
+const MAX_SPARE_EXECS: usize = 8;
+
 /// Which architectural gate system calls use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyscallGateKind {
@@ -199,6 +204,10 @@ pub struct Kernel {
     fault_activations: Vec<FaultActivation>,
     leaked_locks: Vec<LockId>,
     path_counter: u64,
+    /// Finished kernel executions whose buffers the next syscall or daemon
+    /// burst reuses (see [`KernelExec::reuse`]). Host-side only: never
+    /// serialized, and it holds no guest-visible state.
+    spare_execs: Vec<KernelExec>,
 
     programs: Vec<Registered>,
     init_program: Option<ProgId>,
@@ -249,6 +258,7 @@ impl Kernel {
             fault_activations: Vec::new(),
             leaked_locks: Vec::new(),
             path_counter: 0,
+            spare_execs: Vec::new(),
             programs: Vec::new(),
             init_program: None,
             modules: Vec::new(),
@@ -1224,9 +1234,7 @@ impl Kernel {
         self.tasks[slot].state = RunState::Ready;
         if is_kthread {
             // Give the daemon its periodic body.
-            self.path_counter += 1;
-            let path = kpath::kthread_path(self.path_counter);
-            self.tasks[slot].exec = ExecContext::Kernel(KernelExec::new(None, path));
+            self.start_kernel_exec(slot, None);
         } else if matches!(self.tasks[slot].exec, ExecContext::Kernel(_)) {
             // A syscall (e.g. nanosleep) completed its wait; it will finish
             // its return-to-user on next dispatch.
@@ -1350,9 +1358,39 @@ impl Kernel {
             self.do_exit(cpu, slot, u64::MAX);
             return;
         }
+        self.start_kernel_exec(slot, Some((nr, args)));
+    }
+
+    /// Puts `slot` into a new kernel execution: the path of `syscall`, or a
+    /// daemon burst for `None`. Reuses a spare execution's buffers.
+    fn start_kernel_exec(&mut self, slot: usize, syscall: Option<(Sysno, [u64; 5])>) {
         self.path_counter += 1;
-        let steps = kpath::syscall_path(nr, args, self.path_counter, self.cfg.syscall_base_ns);
-        self.tasks[slot].exec = ExecContext::Kernel(KernelExec::new(Some((nr, args)), steps));
+        let mut exec = match self.spare_execs.pop() {
+            Some(spare) => spare.reuse(syscall),
+            None => KernelExec::new(syscall, Vec::new()),
+        };
+        match syscall {
+            Some((nr, args)) => kpath::syscall_path(
+                nr,
+                args,
+                self.path_counter,
+                self.cfg.syscall_base_ns,
+                &mut exec.steps,
+            ),
+            None => kpath::kthread_path(self.path_counter, &mut exec.steps),
+        }
+        self.set_exec(slot, ExecContext::Kernel(exec));
+    }
+
+    /// Replaces `slot`'s execution context, keeping a finished kernel
+    /// execution's buffers for reuse.
+    fn set_exec(&mut self, slot: usize, exec: ExecContext) {
+        let old = std::mem::replace(&mut self.tasks[slot].exec, exec);
+        if let ExecContext::Kernel(e) = old {
+            if self.spare_execs.len() < MAX_SPARE_EXECS {
+                self.spare_execs.push(e);
+            }
+        }
     }
 
     fn kernel_step(&mut self, cpu: &mut CpuCtx<'_>, slot: usize) -> StepOutcome {
@@ -1586,13 +1624,11 @@ impl Kernel {
     /// and returns to user mode (or puts a kernel thread back to sleep).
     fn finish_kernel(&mut self, cpu: &mut CpuCtx<'_>, slot: usize) {
         // Release any wrong-order partner locks.
-        let extra = match &mut self.tasks[slot].exec {
-            ExecContext::Kernel(e) => std::mem::take(&mut e.extra_locks),
-            ExecContext::User => Vec::new(),
-        };
         let pid = self.tasks[slot].pid;
-        for l in extra {
-            self.locks.release(l, pid);
+        if let ExecContext::Kernel(e) = &mut self.tasks[slot].exec {
+            for l in e.extra_locks.drain(..) {
+                self.locks.release(l, pid);
+            }
         }
 
         let syscall = match &self.tasks[slot].exec {
@@ -1603,7 +1639,7 @@ impl Kernel {
             None => {
                 // Kernel-thread burst done: sleep until the next period.
                 let period = self.tasks[slot].kthread_period.unwrap_or(Duration::from_secs(3600));
-                self.tasks[slot].exec = ExecContext::User;
+                self.set_exec(slot, ExecContext::User);
                 self.tasks[slot].state = RunState::Sleeping(cpu.now() + period);
                 self.current[cpu.vcpu_id().0] = None;
             }
@@ -1630,7 +1666,7 @@ impl Kernel {
                     ExecContext::User => 0,
                 };
                 self.tasks[slot].last_ret = ret;
-                self.tasks[slot].exec = ExecContext::User;
+                self.set_exec(slot, ExecContext::User);
                 let user_rsp = self.tasks[slot].user_stack;
                 match self.cfg.gate {
                     SyscallGateKind::Sysenter => cpu.sysexit(user_rsp),
@@ -1929,7 +1965,7 @@ impl Kernel {
         self.kstack_free.push(kstack_base);
         self.tasks[slot].state = RunState::Dead;
         self.tasks[slot].program = None;
-        self.tasks[slot].exec = ExecContext::User;
+        self.set_exec(slot, ExecContext::User);
         self.runqueue.retain(|&s| s != slot);
         for c in self.current.iter_mut() {
             if *c == Some(slot) {

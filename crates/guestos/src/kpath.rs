@@ -119,6 +119,22 @@ impl KernelExec {
         }
     }
 
+    /// Starts a new execution in this one's buffers: `steps`, `held` and
+    /// `extra_locks` are cleared but keep their capacity, so a kernel that
+    /// recycles finished executions enters syscalls without allocating.
+    /// Fill `steps` with [`syscall_path`] or [`kthread_path`].
+    pub fn reuse(mut self, syscall: Option<(Sysno, [u64; 5])>) -> KernelExec {
+        self.steps.clear();
+        self.held.clear();
+        self.extra_locks.clear();
+        KernelExec {
+            steps: self.steps,
+            held: self.held,
+            extra_locks: self.extra_locks,
+            ..KernelExec::new(syscall, Vec::new())
+        }
+    }
+
     /// Whether every step has run.
     pub fn finished(&self) -> bool {
         self.pc >= self.steps.len()
@@ -219,33 +235,40 @@ pub fn site_for(subsystem: &str, variant: u64) -> usize {
     }
 }
 
-/// Wraps `inner` steps in an acquire/release pair of the chosen site.
-fn locked(site: usize, inner: &[PathStep]) -> Vec<PathStep> {
-    let mut v = Vec::with_capacity(inner.len() + 2);
-    v.push(PathStep::Lock(site));
-    v.extend_from_slice(inner);
-    v.push(PathStep::Unlock(site));
-    v
+/// Appends `inner` steps wrapped in an acquire/release pair of the chosen
+/// site.
+fn locked(steps: &mut Vec<PathStep>, site: usize, inner: &[PathStep]) {
+    steps.push(PathStep::Lock(site));
+    steps.extend_from_slice(inner);
+    steps.push(PathStep::Unlock(site));
 }
 
-/// Builds the kernel path for a system call.
+/// Appends the kernel path for a system call to `steps`.
 ///
 /// `variant` rotates the lock sites used (modelling different code paths
 /// through the same subsystem); `base_ns` is the kernel's base syscall cost.
-pub fn syscall_path(sysno: Sysno, args: [u64; 5], variant: u64, base_ns: u64) -> Vec<PathStep> {
+/// The caller owns the buffer, so a kernel that reuses one builds paths
+/// without allocating.
+pub fn syscall_path(
+    sysno: Sysno,
+    args: [u64; 5],
+    variant: u64,
+    base_ns: u64,
+    steps: &mut Vec<PathStep>,
+) {
     use PathStep::*;
-    let mut steps = vec![Work(base_ns)];
+    steps.push(Work(base_ns));
     match sysno {
         Sysno::Read | Sysno::Write => {
             let bytes = args[1].clamp(1, 1 << 20);
             let write = sysno == Sysno::Write;
             if args[2] == 1 {
                 // Pipe I/O: in-memory, no filesystem or disk involvement.
-                steps.extend(locked(site_for("pipe", variant), &[Work(350)]));
+                locked(steps, site_for("pipe", variant), &[Work(350)]);
             } else {
                 // Buffer copy through the page cache: ~40 ns per byte.
                 let copy_ns = bytes.saturating_mul(40);
-                steps.extend(locked(site_for("vfs", variant), &[Work(400)]));
+                locked(steps, site_for("vfs", variant), &[Work(400)]);
                 // The ext3 section nests two locks in canonical order (the
                 // journal lock inside the inode lock) — the ordering a
                 // wrong-order fault inverts into an ABBA deadlock.
@@ -258,21 +281,18 @@ pub fn syscall_path(sysno: Sysno, args: [u64; 5], variant: u64, base_ns: u64) ->
                 steps.push(Work(copy_ns));
                 steps.push(Unlock(e_inner));
                 steps.push(Unlock(e));
-                steps.extend(locked(
-                    site_for("block", variant),
-                    &[DiskIo { bytes, write }, Work(200)],
-                ));
+                locked(steps, site_for("block", variant), &[DiskIo { bytes, write }, Work(200)]);
             }
         }
         Sysno::Open => {
-            steps.extend(locked(site_for("vfs", variant), &[Work(700)]));
-            steps.extend(locked(site_for("ext3", variant), &[Work(500)]));
+            locked(steps, site_for("vfs", variant), &[Work(700)]);
+            locked(steps, site_for("ext3", variant), &[Work(500)]);
         }
         Sysno::Close => {
-            steps.extend(locked(site_for("vfs", variant), &[Work(300)]));
+            locked(steps, site_for("vfs", variant), &[Work(300)]);
         }
         Sysno::Lseek => {
-            steps.extend(locked(site_for("vfs", variant), &[Work(200)]));
+            locked(steps, site_for("vfs", variant), &[Work(200)]);
         }
         Sysno::Spawn => {
             // fork + exec: task allocation, address-space setup, image load.
@@ -285,63 +305,61 @@ pub fn syscall_path(sysno: Sysno, args: [u64; 5], variant: u64, base_ns: u64) ->
             steps.push(Work(20_000));
             steps.push(Unlock(sc_inner));
             steps.push(Unlock(sc));
-            steps.extend(locked(site_for("mm", variant), &[Work(120_000)]));
+            locked(steps, site_for("mm", variant), &[Work(120_000)]);
         }
         Sysno::Exit => {
-            steps.extend(locked(site_for("sched", variant), &[Work(25_000)]));
-            steps.extend(locked(site_for("mm", variant), &[Work(15_000)]));
+            locked(steps, site_for("sched", variant), &[Work(25_000)]);
+            locked(steps, site_for("mm", variant), &[Work(15_000)]);
         }
         Sysno::Waitpid | Sysno::Kill => {
-            steps.extend(locked(site_for("sched", variant), &[Work(500)]));
+            locked(steps, site_for("sched", variant), &[Work(500)]);
         }
         Sysno::ListProcs | Sysno::ReadProcStat => {
             // The walk itself is charged separately (it reads guest memory);
             // the lock protects the task list.
-            steps.extend(locked(site_for("sched", variant), &[Work(300)]));
+            locked(steps, site_for("sched", variant), &[Work(300)]);
         }
         Sysno::Pipe => {
-            steps.extend(locked(site_for("pipe", variant), &[Work(400)]));
+            locked(steps, site_for("pipe", variant), &[Work(400)]);
         }
         Sysno::NetRecv | Sysno::NetSend => {
             let bytes = args[0].clamp(1, 1 << 20);
             let write = sysno == Sysno::NetSend;
-            steps.extend(locked(site_for("net", variant), &[NicIo { bytes, write }, Work(300)]));
+            locked(steps, site_for("net", variant), &[NicIo { bytes, write }, Work(300)]);
         }
         Sysno::UserLock | Sysno::UserUnlock => {
-            steps.extend(locked(site_for("sched", variant), &[Work(200)]));
+            locked(steps, site_for("sched", variant), &[Work(200)]);
         }
         Sysno::Setuid | Sysno::VulnEscalate => {
             steps.push(Work(400));
         }
         Sysno::InstallModule => {
-            steps.extend(locked(site_for("char", variant), &[Work(3_000)]));
+            locked(steps, site_for("char", variant), &[Work(3_000)]);
         }
         Sysno::ConsolePutc => {
-            steps.extend(locked(site_for("char", variant), &[Work(100)]));
+            locked(steps, site_for("char", variant), &[Work(100)]);
         }
         Sysno::Getpid | Sysno::Getuid | Sysno::Geteuid | Sysno::Nanosleep | Sysno::Reboot => {
             // Lock-free fast paths.
         }
     }
-    steps
 }
 
-/// Builds the body of one kernel-daemon work burst (flush-style
-/// housekeeping: a little locking, a little I/O).
-pub fn kthread_path(variant: u64) -> Vec<PathStep> {
+/// Appends the body of one kernel-daemon work burst (flush-style
+/// housekeeping: a little locking, a little I/O) to `steps`.
+pub fn kthread_path(variant: u64, steps: &mut Vec<PathStep>) {
     use PathStep::*;
-    let mut steps = vec![Work(2_000)];
-    steps.extend(locked(site_for("mm", variant), &[Work(1_000)]));
+    steps.push(Work(2_000));
+    locked(steps, site_for("mm", variant), &[Work(1_000)]);
     if variant.is_multiple_of(4) {
         // Dirty-page writeback goes through the filesystem and block
         // layers (as pdflush does) — which is how a leaked ext3/block lock
         // eventually wedges the daemon's vCPU too, escalating a partial
         // hang into a full one. The VFS entry layer is bypassed (writeback
         // starts below it), so leaked VFS locks leave daemons unharmed.
-        steps.extend(locked(site_for("ext3", variant), &[Work(800)]));
-        steps.extend(locked(site_for("block", variant), &[DiskIo { bytes: 4096, write: true }]));
+        locked(steps, site_for("ext3", variant), &[Work(800)]);
+        locked(steps, site_for("block", variant), &[DiskIo { bytes: 4096, write: true }]);
     }
-    steps
 }
 
 /// The inner site canonically nested *inside* `site`'s critical section
@@ -391,6 +409,7 @@ mod tests {
 
     #[test]
     fn paths_are_lock_balanced() {
+        let mut steps = Vec::new();
         for sysno in [
             Sysno::Read,
             Sysno::Write,
@@ -403,7 +422,9 @@ mod tests {
             Sysno::InstallModule,
         ] {
             for v in 0..20 {
-                let steps = syscall_path(sysno, [4096; 5], v, 800);
+                // One buffer for every path, as the kernel reuses them.
+                steps.clear();
+                syscall_path(sysno, [4096; 5], v, 800, &mut steps);
                 let mut held = Vec::new();
                 for s in &steps {
                     match s {
@@ -421,16 +442,19 @@ mod tests {
 
     #[test]
     fn io_paths_move_bytes() {
-        let steps = syscall_path(Sysno::Write, [3, 8192, 0, 0, 0], 0, 800);
+        let mut steps = Vec::new();
+        syscall_path(Sysno::Write, [3, 8192, 0, 0, 0], 0, 800, &mut steps);
         assert!(steps.iter().any(|s| matches!(s, PathStep::DiskIo { bytes: 8192, write: true })));
-        let steps = syscall_path(Sysno::NetRecv, [1500, 0, 0, 0, 0], 0, 800);
+        steps.clear();
+        syscall_path(Sysno::NetRecv, [1500, 0, 0, 0, 0], 0, 800, &mut steps);
         assert!(steps.iter().any(|s| matches!(s, PathStep::NicIo { bytes: 1500, write: false })));
     }
 
     #[test]
     fn fast_paths_are_lock_free() {
         for sysno in [Sysno::Getpid, Sysno::Getuid, Sysno::Geteuid] {
-            let steps = syscall_path(sysno, [0; 5], 0, 800);
+            let mut steps = Vec::new();
+            syscall_path(sysno, [0; 5], 0, 800, &mut steps);
             assert!(steps.iter().all(|s| matches!(s, PathStep::Work(_))));
         }
     }
@@ -451,5 +475,25 @@ mod tests {
         assert!(!e.finished());
         e.pc = 1;
         assert!(e.finished());
+    }
+
+    #[test]
+    fn reuse_starts_clean_and_keeps_capacity() {
+        let mut e = KernelExec::new(None, Vec::new());
+        syscall_path(Sysno::Write, [3, 8192, 0, 0, 0], 7, 800, &mut e.steps);
+        e.pc = 3;
+        e.held.push(1);
+        e.extra_locks.push(LockId(2));
+        e.ret = 9;
+        e.io_progress = 4;
+        e.spin_partner = Some(LockId(5));
+        e.applied = true;
+        let caps = (e.steps.capacity(), e.held.capacity(), e.extra_locks.capacity());
+        let args = [0; 5];
+        let r = e.reuse(Some((Sysno::Getpid, args)));
+        assert_eq!(r.syscall, Some((Sysno::Getpid, args)));
+        assert!(r.steps.is_empty() && r.held.is_empty() && r.extra_locks.is_empty());
+        assert_eq!((r.steps.capacity(), r.held.capacity(), r.extra_locks.capacity()), caps);
+        assert_eq!((r.pc, r.ret, r.io_progress, r.spin_partner, r.applied), (0, 0, 0, None, false));
     }
 }

@@ -3,7 +3,7 @@
 
 use hypertap_guestos::kernel::{pack_proc_stat, ProcStat};
 use hypertap_guestos::klocks::{LockId, LockTable};
-use hypertap_guestos::kpath::{self, PathStep};
+use hypertap_guestos::kpath::{self, KernelExec, PathStep};
 use hypertap_guestos::syscalls::Sysno;
 use hypertap_guestos::task::Pid;
 use proptest::prelude::*;
@@ -42,7 +42,9 @@ proptest! {
         arg0 in 0u64..100_000,
         arg1 in 0u64..100_000,
     ) {
-        let steps = kpath::syscall_path(sysno, [arg0, arg1, 0, 0, 0], variant, 800);
+        let args = [arg0, arg1, 0, 0, 0];
+        let mut steps = Vec::new();
+        kpath::syscall_path(sysno, args, variant, 800, &mut steps);
         let mut held: Vec<usize> = Vec::new();
         for s in &steps {
             match s {
@@ -54,12 +56,20 @@ proptest! {
             }
         }
         prop_assert!(held.is_empty(), "{} v{} leaked {:?}", sysno, variant, held);
+        // A recycled execution whose buffer held another path builds the
+        // same path.
+        let mut used = KernelExec::new(None, Vec::new());
+        kpath::kthread_path(variant, &mut used.steps);
+        let mut reused = used.reuse(Some((sysno, args)));
+        kpath::syscall_path(sysno, args, variant, 800, &mut reused.steps);
+        prop_assert_eq!(reused.steps, steps);
     }
 
     /// Kernel-thread paths are also balanced.
     #[test]
     fn kthread_paths_are_lock_balanced(variant in 0u64..1000) {
-        let steps = kpath::kthread_path(variant);
+        let mut steps = Vec::new();
+        kpath::kthread_path(variant, &mut steps);
         let mut held: Vec<usize> = Vec::new();
         for s in &steps {
             match s {

@@ -173,24 +173,19 @@ pub struct VcpuSnapshot {
 impl VcpuSnapshot {
     /// Captures the current state of a vCPU.
     pub fn capture(vcpu: &Vcpu) -> Self {
-        let mut gprs = [0u64; 7];
-        for (slot, r) in Gpr::ALL.iter().enumerate() {
-            gprs[slot] = vcpu.gpr(*r);
-        }
         VcpuSnapshot {
             cr3: vcpu.cr3(),
             tr_base: vcpu.tr_base(),
             rsp: vcpu.rsp(),
             rip: vcpu.rip(),
             cpl: vcpu.cpl(),
-            gprs,
+            gprs: vcpu.gprs(),
         }
     }
 
     /// Reads a general-purpose register from the snapshot.
     pub fn gpr(&self, r: Gpr) -> u64 {
-        let slot = Gpr::ALL.iter().position(|g| *g == r).expect("all GPRs present");
-        self.gprs[slot]
+        self.gprs[r.index()]
     }
 
     /// The raw GPR file, in [`Gpr::ALL`] order. Trace recorders serialize
@@ -480,5 +475,17 @@ mod tests {
         assert_eq!(snap.gpr(Gpr::Rax), 5);
         assert_eq!(snap.gpr(Gpr::Rbx), 6);
         assert_eq!(snap.cpl, Cpl::Kernel);
+    }
+
+    #[test]
+    fn snapshot_reads_every_gpr_like_the_vcpu() {
+        let mut v = Vcpu::new(VcpuId(0));
+        for (i, r) in Gpr::ALL.into_iter().enumerate() {
+            v.set_gpr(r, 0x1000 + i as u64);
+        }
+        let snap = VcpuSnapshot::capture(&v);
+        for r in Gpr::ALL {
+            assert_eq!(snap.gpr(r), v.gpr(r), "{r:?}");
+        }
     }
 }

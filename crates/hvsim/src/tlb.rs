@@ -25,6 +25,10 @@
 //!
 //! The cache is a fixed-size direct-mapped array keyed on `(CR3, virtual
 //! page number)`, so behaviour is deterministic and memory use is bounded.
+//! A full flush is O(1): it bumps the TLB's epoch, and an entry only hits
+//! while its epoch is the current one. The slots are cleared for real only
+//! when the epoch counter wraps.
+//!
 //! Crucially, translation charges **no simulated time** — the cost model
 //! charges accesses after translation — so enabling or disabling the TLB
 //! cannot change any event stream or simulated clock; only host wall-clock
@@ -36,7 +40,7 @@ use crate::paging::{self, PageFault};
 use crate::snap::{SnapError, SnapReader, SnapWriter};
 
 /// Number of direct-mapped TLB slots per vCPU (a power of two).
-const TLB_SLOTS: usize = 1024;
+pub const TLB_SLOTS: usize = 1024;
 
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
@@ -61,7 +65,14 @@ struct TlbEntry {
     perm: EptPerm,
     /// `ept.generation()` when `perm` was cached.
     ept_gen: u64,
+    /// The TLB's flush epoch when the entry was filled; the entry is dead
+    /// once a flush has moved the epoch on. Sits in the padding after
+    /// `perm`, so the entry costs no extra bytes.
+    epoch: u32,
 }
+
+// A wider epoch would grow every slot by 8 bytes.
+const _: () = assert!(std::mem::size_of::<Option<TlbEntry>>() == 72);
 
 /// Hit/miss counters for one TLB (or an aggregate over several).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -105,6 +116,8 @@ impl TlbStats {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
+    /// Entries filled under an older epoch are flushed.
+    epoch: u32,
     stats: TlbStats,
 }
 
@@ -117,15 +130,24 @@ impl Default for Tlb {
 impl Tlb {
     /// An empty TLB.
     pub fn new() -> Self {
-        Tlb { entries: vec![None; TLB_SLOTS], stats: TlbStats::default() }
+        Tlb { entries: vec![None; TLB_SLOTS], epoch: 0, stats: TlbStats::default() }
     }
 
-    /// Drops every cached translation (a CR3 load).
+    /// Drops every cached translation (a CR3 load) by starting a new epoch.
     pub fn flush(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Entries from the epoch that just came round again would be
+            // live once more: clear them for real.
+            self.clear();
+        }
+        self.stats.flushes += 1;
+    }
+
+    fn clear(&mut self) {
         for e in &mut self.entries {
             *e = None;
         }
-        self.stats.flushes += 1;
     }
 
     /// Counters accumulated so far.
@@ -135,16 +157,22 @@ impl Tlb {
 
     /// Serializes the cached translations and counters. Restoring the full
     /// entry array (not just flushing) keeps hit/miss statistics bit-exact
-    /// across a snapshot/restore cycle.
-    pub(crate) fn save(&self, w: &mut SnapWriter) {
+    /// across a snapshot/restore cycle. Only live entries are written, so
+    /// the bytes are those of a TLB that cleared every slot on each flush;
+    /// the epoch itself is not saved.
+    pub fn save(&self, w: &mut SnapWriter) {
         w.varint(self.stats.hits);
         w.varint(self.stats.misses);
         w.varint(self.stats.fills);
         w.varint(self.stats.flushes);
-        let present = self.entries.iter().filter(|e| e.is_some()).count();
-        w.varint(present as u64);
-        for (i, e) in self.entries.iter().enumerate() {
-            let Some(e) = e else { continue };
+        let live = || {
+            self.entries
+                .iter()
+                .enumerate()
+                .filter_map(|(i, e)| e.as_ref().filter(|e| e.epoch == self.epoch).map(|e| (i, e)))
+        };
+        w.varint(live().count() as u64);
+        for (i, e) in live() {
             w.varint(i as u64);
             w.varint(e.cr3.value());
             w.varint(e.vpn);
@@ -159,16 +187,18 @@ impl Tlb {
     }
 
     /// Restores state saved by [`Tlb::save`].
-    pub(crate) fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapError`] if the bytes are truncated or malformed.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stats = TlbStats {
             hits: r.varint()?,
             misses: r.varint()?,
             fills: r.varint()?,
             flushes: r.varint()?,
         };
-        for e in &mut self.entries {
-            *e = None;
-        }
+        self.clear();
         let n = r.count(TLB_SLOTS, "tlb entry count")?;
         for _ in 0..n {
             let off = r.offset();
@@ -197,6 +227,7 @@ impl Tlb {
                 snap_gen,
                 perm,
                 ept_gen,
+                epoch: self.epoch,
             });
         }
         Ok(())
@@ -224,7 +255,7 @@ impl Tlb {
         let idx = (vpn as usize) & (TLB_SLOTS - 1);
         let paging_gen = mem.paging_gen();
         if let Some(e) = &mut self.entries[idx] {
-            if e.cr3 == cr3 && e.vpn == vpn {
+            if e.epoch == self.epoch && e.cr3 == cr3 && e.vpn == vpn {
                 // Valid if no page table anywhere changed since the last
                 // validation, or (slow check) if neither structure this
                 // entry walked through was written since the fill.
@@ -259,6 +290,7 @@ impl Tlb {
             snap_gen: fill_gen,
             perm,
             ept_gen: ept.generation(),
+            epoch: self.epoch,
         });
         self.stats.fills += 1;
         Ok((t.gpa, perm))
@@ -305,6 +337,30 @@ mod tests {
         assert_eq!(tlb.stats().hits, 0);
         assert_eq!(tlb.stats().misses, 2);
         assert_eq!(tlb.stats().flushes, 1);
+    }
+
+    #[test]
+    fn epoch_wrap_leaves_no_stale_entry() {
+        let (mut mem, ept, mut falloc, mut asb) = setup();
+        let frame = falloc.alloc(&mut mem);
+        let gva = Gva::new(0x40_0000);
+        asb.map(&mut mem, &mut falloc, gva, frame);
+        let cr3 = asb.pdba();
+        let mut tlb = Tlb::new();
+        tlb.translate(&mut mem, &ept, cr3, gva).unwrap();
+        assert_eq!(tlb.epoch, 0);
+        // As if 2^32 - 1 flushes had happened: the next one wraps the epoch
+        // back to the one the entry was filled under.
+        tlb.epoch = u32::MAX;
+        tlb.flush();
+        assert_eq!(tlb.epoch, 0);
+        assert!(tlb.entries.iter().all(Option::is_none), "a wrap must clear every slot");
+        tlb.translate(&mut mem, &ept, cr3, gva).unwrap();
+        assert_eq!(tlb.stats().hits, 0, "a pre-wrap entry must not hit");
+        assert_eq!(tlb.stats().misses, 2);
+        // Entries filled after the wrap hit as usual.
+        tlb.translate(&mut mem, &ept, cr3, gva).unwrap();
+        assert_eq!(tlb.stats().hits, 1);
     }
 
     #[test]

@@ -47,7 +47,8 @@ impl Gpr {
     pub const ALL: [Gpr; 7] =
         [Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx, Gpr::Rsi, Gpr::Rdi, Gpr::Rbp];
 
-    fn index(self) -> usize {
+    /// Position of the register in [`Gpr::ALL`] (and in every GPR array).
+    pub(crate) fn index(self) -> usize {
         match self {
             Gpr::Rax => 0,
             Gpr::Rbx => 1,
@@ -243,6 +244,11 @@ impl Vcpu {
     /// Reads a general-purpose register.
     pub fn gpr(&self, r: Gpr) -> u64 {
         self.gprs[r.index()]
+    }
+
+    /// The whole GPR file, in [`Gpr::ALL`] order.
+    pub(crate) fn gprs(&self) -> [u64; 7] {
+        self.gprs
     }
 
     /// Writes a general-purpose register. Public because register writes are

@@ -5,11 +5,138 @@
 use hypertap_hvsim::ept::{AccessKind, Ept, EptPerm};
 use hypertap_hvsim::mem::{Gfn, Gpa, GuestMemory, Gva, PAGE_SIZE};
 use hypertap_hvsim::paging::{self, AddressSpaceBuilder, FrameAllocator};
-use hypertap_hvsim::tlb::Tlb;
+use hypertap_hvsim::snap::{SnapReader, SnapWriter};
+use hypertap_hvsim::tlb::{Tlb, TlbStats, TLB_SLOTS};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 const MEM_SIZE: u64 = 32 << 20;
+
+/// One slot of [`RefTlb`]: the fields [`Tlb::save`] writes, in its order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RefEntry {
+    cr3: Gpa,
+    vpn: u64,
+    frame: Gpa,
+    pd_gfn: Gfn,
+    pt_gfn: Gfn,
+    fill_gen: u64,
+    snap_gen: u64,
+    perm: EptPerm,
+    ept_gen: u64,
+}
+
+/// A reference TLB with the same direct-mapped slots and invalidation
+/// rules as [`Tlb`], except that a flush eagerly clears every slot.
+struct RefTlb {
+    entries: Vec<Option<RefEntry>>,
+    stats: TlbStats,
+}
+
+impl RefTlb {
+    fn new() -> Self {
+        RefTlb { entries: vec![None; TLB_SLOTS], stats: TlbStats::default() }
+    }
+
+    fn flush(&mut self) {
+        self.entries.iter_mut().for_each(|e| *e = None);
+        self.stats.flushes += 1;
+    }
+
+    fn translate(
+        &mut self,
+        mem: &mut GuestMemory,
+        ept: &Ept,
+        cr3: Gpa,
+        gva: Gva,
+    ) -> Result<(Gpa, EptPerm), paging::PageFault> {
+        let vpn = gva.value() / PAGE_SIZE;
+        let idx = (vpn as usize) % TLB_SLOTS;
+        let paging_gen = mem.paging_gen();
+        if let Some(e) = &mut self.entries[idx] {
+            let paging_ok = e.snap_gen == paging_gen
+                || (mem.frame_write_gen(e.pd_gfn) <= e.fill_gen
+                    && mem.frame_write_gen(e.pt_gfn) <= e.fill_gen);
+            if e.cr3 == cr3 && e.vpn == vpn && paging_ok {
+                e.snap_gen = paging_gen;
+                if e.ept_gen != ept.generation() {
+                    e.perm = ept.perm(e.frame.gfn());
+                    e.ept_gen = ept.generation();
+                }
+                self.stats.hits += 1;
+                return Ok((e.frame.offset(gva.page_offset()), e.perm));
+            }
+        }
+        self.stats.misses += 1;
+        let t = paging::walk_traced(mem, cr3, gva)?;
+        mem.track_paging_frame(t.pd_gfn);
+        mem.track_paging_frame(t.pt_gfn);
+        let frame = t.gpa.gfn().base();
+        let perm = ept.perm(frame.gfn());
+        let fill_gen = mem.paging_gen();
+        self.entries[idx] = Some(RefEntry {
+            cr3,
+            vpn,
+            frame,
+            pd_gfn: t.pd_gfn,
+            pt_gfn: t.pt_gfn,
+            fill_gen,
+            snap_gen: fill_gen,
+            perm,
+            ept_gen: ept.generation(),
+        });
+        self.stats.fills += 1;
+        Ok((t.gpa, perm))
+    }
+
+    fn save(&self) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        for v in [self.stats.hits, self.stats.misses, self.stats.fills, self.stats.flushes] {
+            w.varint(v);
+        }
+        w.varint(self.entries.iter().flatten().count() as u64);
+        for (i, e) in self.entries.iter().enumerate() {
+            let Some(e) = e else { continue };
+            w.varint(i as u64);
+            for v in [e.cr3.value(), e.vpn, e.frame.value(), e.pd_gfn.value(), e.pt_gfn.value()] {
+                w.varint(v);
+            }
+            w.varint(e.fill_gen);
+            w.varint(e.snap_gen);
+            w.byte(e.perm.to_bits());
+            w.varint(e.ept_gen);
+        }
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Self {
+        let mut r = SnapReader::new(bytes);
+        let mut v = || r.varint().unwrap();
+        let stats = TlbStats { hits: v(), misses: v(), fills: v(), flushes: v() };
+        let mut tlb = RefTlb { stats, ..RefTlb::new() };
+        for _ in 0..r.varint().unwrap() {
+            let idx = r.varint().unwrap() as usize;
+            let mut v = || r.varint().unwrap();
+            let (cr3, vpn, frame, pd_gfn, pt_gfn) =
+                (Gpa::new(v()), v(), Gpa::new(v()), Gfn::new(v()), Gfn::new(v()));
+            let (fill_gen, snap_gen) = (v(), v());
+            let perm = EptPerm::from_bits(r.byte().unwrap()).unwrap();
+            let ept_gen = r.varint().unwrap();
+            tlb.entries[idx] = Some(RefEntry {
+                cr3,
+                vpn,
+                frame,
+                pd_gfn,
+                pt_gfn,
+                fill_gen,
+                snap_gen,
+                perm,
+                ept_gen,
+            });
+        }
+        tlb
+    }
+}
 
 proptest! {
     /// Guest memory behaves like a flat byte array: reads return the last
@@ -113,13 +240,16 @@ proptest! {
 
     /// The software TLB is coherent: under random interleavings of mapped
     /// and unmapped accesses, CR3 switches, page-table edits (maps and raw
-    /// PTE clears) and EPT permission flips, a TLB-cached translation always
-    /// returns exactly what a fresh TLB-less walk (plus a fresh EPT lookup)
-    /// returns. Page-table edits deliberately do NOT flush the TLB: the
-    /// tracked-frame generations must catch them on their own.
+    /// PTE clears), EPT permission flips and save→load cycles, a TLB-cached
+    /// translation always returns exactly what a fresh TLB-less walk (plus a
+    /// fresh EPT lookup) returns. Page-table edits deliberately do NOT flush
+    /// the TLB: the tracked-frame generations must catch them on their own.
+    ///
+    /// Alongside runs [`RefTlb`], which clears every slot on a flush: the
+    /// epoch-flushing TLB must match it in results, counters and save bytes.
     #[test]
     fn tlb_coherence(
-        ops in prop::collection::vec((0u8..5, 0u64..64, 0u64..PAGE_SIZE), 1..200),
+        ops in prop::collection::vec((0u8..6, 0u64..64, 0u64..PAGE_SIZE), 1..200),
     ) {
         let mut mem = GuestMemory::new(MEM_SIZE);
         let mut ept = Ept::new();
@@ -130,34 +260,42 @@ proptest! {
         ];
         let mut current = 0usize;
         let mut tlb = Tlb::new();
+        let mut reference_tlb = RefTlb::new();
         let mut mapped_frames: Vec<Gfn> = Vec::new();
+        // Every third offset aliases the page onto the same direct-mapped
+        // slot as a page one TLB-size further on.
+        let page_of = |a: u64, b: u64| if b.is_multiple_of(3) { a + TLB_SLOTS as u64 } else { a };
         for (kind, a, b) in &ops {
             let cr3 = spaces[current];
             match kind {
                 // An access: the TLB must agree with the reference walk.
                 0 => {
-                    let gva = Gva::new(a * PAGE_SIZE + b);
+                    let gva = Gva::new(page_of(*a, *b) * PAGE_SIZE + b);
                     let cached = tlb.translate(&mut mem, &ept, cr3, gva);
+                    let eager = reference_tlb.translate(&mut mem, &ept, cr3, gva);
                     let reference = paging::walk(&mem, cr3, gva)
                         .map(|gpa| (gpa, ept.perm(gpa.gfn())));
                     prop_assert_eq!(cached, reference, "divergence at {} (space {})", gva, current);
+                    prop_assert_eq!(eager, reference, "reference TLB at {}", gva);
+                    prop_assert_eq!(tlb.stats(), reference_tlb.stats);
                 }
                 // A CR3 switch: architectural full flush.
                 1 => {
                     current = (a % 2) as usize;
                     tlb.flush();
+                    reference_tlb.flush();
                 }
                 // Map a page to a fresh frame (a page-table edit; no flush).
                 2 => {
                     let frame = falloc.alloc(&mut mem);
                     AddressSpaceBuilder::from_pdba(cr3)
-                        .map(&mut mem, &mut falloc, Gva::new(a * PAGE_SIZE), frame);
+                        .map(&mut mem, &mut falloc, Gva::new(page_of(*a, *b) * PAGE_SIZE), frame);
                     mapped_frames.push(frame);
                 }
                 // Clear a PTE in place (an unmap the guest performs by raw
                 // store, bypassing any builder API; no flush).
                 3 => {
-                    let gva = Gva::new(a * PAGE_SIZE);
+                    let gva = Gva::new(page_of(*a, *b) * PAGE_SIZE);
                     let pde = mem.read_u64(cr3.offset((gva.value() >> 21) * 8));
                     if pde & 1 != 0 {
                         let pt_base = Gpa::new(pde & !(PAGE_SIZE - 1));
@@ -166,7 +304,7 @@ proptest! {
                     }
                 }
                 // Flip an EPT permission on a mapped frame.
-                _ => {
+                4 => {
                     if let Some(&frame) = mapped_frames.get((*a as usize) % mapped_frames.len().max(1)) {
                         let perm = match b % 4 {
                             0 => EptPerm::RWX,
@@ -177,6 +315,18 @@ proptest! {
                         ept.set_perm(frame, perm);
                     }
                 }
+                // Snapshot both TLBs and carry on from restored copies.
+                _ => {
+                    let mut w = SnapWriter::new();
+                    tlb.save(&mut w);
+                    let bytes = w.into_bytes();
+                    prop_assert_eq!(&bytes, &reference_tlb.save(), "save bytes");
+                    tlb = Tlb::new();
+                    let mut r = SnapReader::new(&bytes);
+                    tlb.load(&mut r).expect("own save bytes load");
+                    prop_assert!(r.is_done());
+                    reference_tlb = RefTlb::load(&bytes);
+                }
             }
         }
         // Final sweep: every page in both spaces agrees with the reference.
@@ -184,11 +334,17 @@ proptest! {
             for page in 0..64u64 {
                 let gva = Gva::new(page * PAGE_SIZE);
                 let cached = tlb.translate(&mut mem, &ept, cr3, gva);
+                let eager = reference_tlb.translate(&mut mem, &ept, cr3, gva);
                 let reference = paging::walk(&mem, cr3, gva)
                     .map(|gpa| (gpa, ept.perm(gpa.gfn())));
                 prop_assert_eq!(cached, reference, "final sweep {} (space {})", gva, si);
+                prop_assert_eq!(eager, reference, "reference TLB final sweep {}", gva);
             }
         }
+        prop_assert_eq!(tlb.stats(), reference_tlb.stats);
+        let mut w = SnapWriter::new();
+        tlb.save(&mut w);
+        prop_assert_eq!(w.into_bytes(), reference_tlb.save(), "final save bytes");
     }
 
     /// Frame allocation never hands out the same live frame twice, and

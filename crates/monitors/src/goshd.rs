@@ -442,10 +442,9 @@ mod tests {
     fn never_switching_vcpu_falls_back_to_baseline_provenance() {
         let mut g = Goshd::new(2, cfg_ms(100));
         let mut vm = vm_state();
-        let mut sink = RefSink::default();
         // Only vCPU 0 ever switches; vCPU 1's alarm can only cite GOSHD's
         // first observed exit.
-        sink.current = Some(EventRef(4));
+        let mut sink = RefSink { current: Some(EventRef(4)), ..RefSink::default() };
         g.on_event(&mut vm, &switch_event(0, 10), &mut sink);
         sink.current = None;
         g.on_tick(&mut vm, SimTime::from_millis(500), &mut sink);
