@@ -17,7 +17,8 @@
 //!
 //! On failure — an auditor panic, a conformance divergence, or a fleet
 //! worker panic — the ring is serialized to a versioned `.htfr` dump
-//! ([`FlightDump`], format [`FLIGHT_VERSION`]) that the `flightdump`
+//! ([`FlightDump`], format [`FLIGHT_VERSION`], written with the
+//! [`hypertap_hvsim::snap`] codec) that the `flightdump`
 //! inspector pretty-prints or exports as Chrome trace-event JSON for
 //! `chrome://tracing` / Perfetto.
 
@@ -26,12 +27,13 @@ use crate::event::{Event, EventClass, EventRef, VmId};
 use hypertap_hvsim::clock::SimTime;
 use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Version stamped into every `.htfr` dump. Bump on any change to the
 /// record encoding; [`FlightDump::decode`] rejects versions it does not
-/// understand rather than misparsing them.
-pub const FLIGHT_VERSION: u32 = 1;
+/// understand rather than misparsing them. Version 1 was a fixed-width
+/// little-endian layout; version 2 shares the varint record encoding of
+/// the `.htsp` flight section.
+pub const FLIGHT_VERSION: u64 = 2;
 
 /// Default ring capacity (records, not bytes).
 pub const DEFAULT_CAPACITY: usize = 256;
@@ -320,8 +322,8 @@ fn render_record(r: &RingRecord) -> DumpRecord {
     }
 }
 
-/// Encodes one rendered record in snapshot (varint) form — the machine
-/// snapshot's framing, distinct from the fixed-width `.htfr` encoding.
+/// Encodes one rendered record — the framing shared by `.htfr` dumps and
+/// the `.htsp` flight section.
 fn save_record(w: &mut SnapWriter, rec: &DumpRecord) {
     match rec {
         DumpRecord::Event { seq, time, vm, vcpu, class, detail } => {
@@ -347,7 +349,7 @@ fn save_record(w: &mut SnapWriter, rec: &DumpRecord) {
             w.byte(TAG_FINDING);
             w.varint(time.as_nanos());
             w.string(auditor);
-            w.byte(severity_index(*severity));
+            w.byte(severity.to_byte());
             w.string(message);
             w.varint(provenance.len() as u64);
             for r in provenance {
@@ -455,7 +457,7 @@ pub enum DumpRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightDump {
     /// Format version ([`FLIGHT_VERSION`] when freshly dumped).
-    pub version: u32,
+    pub version: u64,
     /// Why the dump was taken ("container-panic", "conformance-divergence",
     /// "fleet-worker-panic", ...).
     pub reason: String,
@@ -470,234 +472,40 @@ pub struct FlightDump {
     pub records: Vec<DumpRecord>,
 }
 
-/// Decode failure for a `.htfr` blob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlightError {
-    /// Not a flight dump at all.
-    BadMagic,
-    /// A version this build does not understand.
-    UnsupportedVersion(u32),
-    /// Truncated input.
-    UnexpectedEof { offset: usize },
-    /// Unknown record tag.
-    BadTag { offset: usize, tag: u8 },
-    /// A string field was not UTF-8.
-    BadUtf8 { offset: usize },
-    /// An out-of-range enum discriminant.
-    BadEnum { offset: usize, value: u8 },
-    /// Bytes left over after the last record.
-    TrailingGarbage { offset: usize },
-}
-
-impl fmt::Display for FlightError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FlightError::BadMagic => write!(f, "not a HTFR flight dump (bad magic)"),
-            FlightError::UnsupportedVersion(v) => write!(f, "unsupported flight-dump version {v}"),
-            FlightError::UnexpectedEof { offset } => {
-                write!(f, "unexpected end of dump at offset {offset}")
-            }
-            FlightError::BadTag { offset, tag } => {
-                write!(f, "unknown record tag {tag:#04x} at offset {offset}")
-            }
-            FlightError::BadUtf8 { offset } => write!(f, "invalid UTF-8 at offset {offset}"),
-            FlightError::BadEnum { offset, value } => {
-                write!(f, "out-of-range discriminant {value} at offset {offset}")
-            }
-            FlightError::TrailingGarbage { offset } => {
-                write!(f, "trailing bytes after the last record (offset {offset})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlightError {}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FlightError> {
-        let out = self
-            .bytes
-            .get(self.pos..self.pos + n)
-            .ok_or(FlightError::UnexpectedEof { offset: self.pos })?;
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, FlightError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FlightError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FlightError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, FlightError> {
-        let len = self.u32()? as usize;
-        let offset = self.pos;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FlightError::BadUtf8 { offset })
-    }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn class_index(class: EventClass) -> u8 {
     EventClass::ALL.iter().position(|c| *c == class).expect("every class is in ALL") as u8
 }
 
-fn severity_index(severity: Severity) -> u8 {
-    severity as u8
-}
-
 impl FlightDump {
-    /// Serializes the dump as `.htfr` bytes.
+    /// Serializes the dump as `.htfr` bytes: the header, the reason, the
+    /// ring counters, then the records in the varint form of the `.htsp`
+    /// flight section.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(FLIGHT_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        put_string(&mut out, &self.reason);
-        out.extend_from_slice(&self.capacity.to_le_bytes());
-        out.extend_from_slice(&self.next_seq.to_le_bytes());
-        out.extend_from_slice(&self.dropped.to_le_bytes());
-        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
+        let mut w = SnapWriter::new();
+        w.header(FLIGHT_MAGIC, self.version);
+        w.string(&self.reason);
+        w.varint(self.capacity);
+        w.varint(self.next_seq);
+        w.varint(self.dropped);
+        w.varint(self.records.len() as u64);
         for record in &self.records {
-            match record {
-                DumpRecord::Event { seq, time, vm, vcpu, class, detail } => {
-                    out.push(TAG_EVENT);
-                    out.extend_from_slice(&seq.to_le_bytes());
-                    out.extend_from_slice(&time.as_nanos().to_le_bytes());
-                    out.extend_from_slice(&vm.0.to_le_bytes());
-                    out.extend_from_slice(&vcpu.to_le_bytes());
-                    out.push(class_index(*class));
-                    put_string(&mut out, detail);
-                }
-                DumpRecord::Tick { time } => {
-                    out.push(TAG_TICK);
-                    out.extend_from_slice(&time.as_nanos().to_le_bytes());
-                }
-                DumpRecord::Transition { time, auditor, detail } => {
-                    out.push(TAG_TRANSITION);
-                    out.extend_from_slice(&time.as_nanos().to_le_bytes());
-                    put_string(&mut out, auditor);
-                    put_string(&mut out, detail);
-                }
-                DumpRecord::Finding { time, auditor, severity, message, provenance } => {
-                    out.push(TAG_FINDING);
-                    out.extend_from_slice(&time.as_nanos().to_le_bytes());
-                    put_string(&mut out, auditor);
-                    out.push(severity_index(*severity));
-                    put_string(&mut out, message);
-                    out.extend_from_slice(&(provenance.len() as u32).to_le_bytes());
-                    for r in provenance {
-                        out.extend_from_slice(&r.0.to_le_bytes());
-                    }
-                }
-                DumpRecord::Panic { container, message, count } => {
-                    out.push(TAG_PANIC);
-                    put_string(&mut out, container);
-                    put_string(&mut out, message);
-                    out.extend_from_slice(&count.to_le_bytes());
-                }
-                DumpRecord::Span { name, start, duration_ns, track } => {
-                    out.push(TAG_SPAN);
-                    put_string(&mut out, name);
-                    out.extend_from_slice(&start.as_nanos().to_le_bytes());
-                    out.extend_from_slice(&duration_ns.to_le_bytes());
-                    out.extend_from_slice(&track.to_le_bytes());
-                }
-            }
+            save_record(&mut w, record);
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses `.htfr` bytes back into a dump.
-    pub fn decode(bytes: &[u8]) -> Result<FlightDump, FlightError> {
-        let mut c = Cursor { bytes, pos: 0 };
-        if c.take(4)? != FLIGHT_MAGIC {
-            return Err(FlightError::BadMagic);
-        }
-        let version = c.u32()?;
-        if version != FLIGHT_VERSION {
-            return Err(FlightError::UnsupportedVersion(version));
-        }
-        let reason = c.string()?;
-        let capacity = c.u64()?;
-        let next_seq = c.u64()?;
-        let dropped = c.u64()?;
-        let count = c.u64()? as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let tag_offset = c.pos;
-            let tag = c.u8()?;
-            let record = match tag {
-                TAG_EVENT => {
-                    let seq = c.u64()?;
-                    let time = SimTime::from_nanos(c.u64()?);
-                    let vm = VmId(c.u32()?);
-                    let vcpu = c.u32()?;
-                    let class_offset = c.pos;
-                    let idx = c.u8()? as usize;
-                    let class = *EventClass::ALL
-                        .get(idx)
-                        .ok_or(FlightError::BadEnum { offset: class_offset, value: idx as u8 })?;
-                    let detail = c.string()?;
-                    DumpRecord::Event { seq, time, vm, vcpu, class, detail }
-                }
-                TAG_TICK => DumpRecord::Tick { time: SimTime::from_nanos(c.u64()?) },
-                TAG_TRANSITION => DumpRecord::Transition {
-                    time: SimTime::from_nanos(c.u64()?),
-                    auditor: c.string()?,
-                    detail: c.string()?,
-                },
-                TAG_FINDING => {
-                    let time = SimTime::from_nanos(c.u64()?);
-                    let auditor = c.string()?;
-                    let sev_offset = c.pos;
-                    let severity = match c.u8()? {
-                        0 => Severity::Info,
-                        1 => Severity::Warning,
-                        2 => Severity::Alert,
-                        v => return Err(FlightError::BadEnum { offset: sev_offset, value: v }),
-                    };
-                    let message = c.string()?;
-                    let n = c.u32()? as usize;
-                    let mut provenance = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        provenance.push(EventRef(c.u64()?));
-                    }
-                    DumpRecord::Finding { time, auditor, severity, message, provenance }
-                }
-                TAG_PANIC => DumpRecord::Panic {
-                    container: c.string()?,
-                    message: c.string()?,
-                    count: c.u64()?,
-                },
-                TAG_SPAN => DumpRecord::Span {
-                    name: c.string()?,
-                    start: SimTime::from_nanos(c.u64()?),
-                    duration_ns: c.u64()?,
-                    track: c.u32()?,
-                },
-                tag => return Err(FlightError::BadTag { offset: tag_offset, tag }),
-            };
-            records.push(record);
-        }
-        if c.pos != bytes.len() {
-            return Err(FlightError::TrailingGarbage { offset: c.pos });
-        }
-        Ok(FlightDump { version, reason, capacity, next_seq, dropped, records })
+    pub fn decode(bytes: &[u8]) -> Result<FlightDump, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        r.header(FLIGHT_MAGIC, FLIGHT_VERSION)?;
+        let reason = r.string()?;
+        let capacity = r.varint()?;
+        let next_seq = r.varint()?;
+        let dropped = r.varint()?;
+        let n = r.count(usize::MAX, "flight records")?;
+        let records = (0..n).map(|_| load_record(&mut r)).collect::<Result<_, _>>()?;
+        r.finish()?;
+        Ok(FlightDump { version: FLIGHT_VERSION, reason, capacity, next_seq, dropped, records })
     }
 
     /// Human-readable rendering: a header plus one line per record,
@@ -875,7 +683,7 @@ impl FlightDump {
                 "otherData".into(),
                 Value::Object(vec![
                     ("format".into(), Value::Str("hypertap-flight".into())),
-                    ("version".into(), Value::U64(u64::from(self.version))),
+                    ("version".into(), Value::U64(self.version)),
                     ("reason".into(), Value::Str(self.reason.clone())),
                 ]),
             ),
@@ -1036,24 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_bad_input() {
-        assert_eq!(FlightDump::decode(b"NOPE"), Err(FlightError::BadMagic));
-        let mut bytes = FlightRecorder::new(4).dump_bytes("r");
-        bytes[4] = 99; // version
-        assert_eq!(FlightDump::decode(&bytes), Err(FlightError::UnsupportedVersion(99)));
-        let mut fr = FlightRecorder::new(4);
-        fr.observe_event(&ev(1));
-        let good = fr.dump_bytes("r");
-        assert!(FlightDump::decode(&good[..good.len() - 1]).is_err());
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert_eq!(
-            FlightDump::decode(&trailing),
-            Err(FlightError::TrailingGarbage { offset: good.len() })
-        );
-    }
-
-    #[test]
     fn render_mentions_every_record() {
         let mut fr = FlightRecorder::new(16);
         let r = fr.observe_event(&ev(1));
@@ -1062,7 +852,7 @@ mod tests {
                 .with_provenance(vec![r]),
         );
         let text = fr.dump("render-test").render();
-        assert!(text.contains("HTFR v1"), "{text}");
+        assert!(text.contains("HTFR v2"), "{text}");
         assert!(text.contains("render-test"), "{text}");
         assert!(text.contains("process switch"), "{text}");
         assert!(text.contains("triggered by exits #0"), "{text}");

@@ -105,7 +105,7 @@ pub mod prelude {
         run_fleet, run_fleet_telemetry, run_vm_alone, FleetAggregator, FleetConfig, FleetHost,
         FleetReport, FleetVm, FleetWorkload, SliceOutcome, VmReport,
     };
-    pub use crate::flight::{FlightDump, FlightError, FlightRecorder, FLIGHT_VERSION};
+    pub use crate::flight::{FlightDump, FlightRecorder, FLIGHT_VERSION};
     pub use crate::intercept::{
         FastSyscallEngine, FineGrainedEngine, IntSyscallEngine, InterceptEngine, IoEngine,
         ProcessSwitchEngine, ThreadSwitchEngine, TssIntegrityEngine,

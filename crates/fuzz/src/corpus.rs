@@ -59,7 +59,7 @@ pub enum CorpusError {
         detail: String,
     },
     /// A `.htrz` entry failed to decode.
-    Trace(String, TraceError),
+    Trace(String, SnapError),
 }
 
 impl fmt::Display for CorpusError {
@@ -67,7 +67,7 @@ impl fmt::Display for CorpusError {
         match self {
             CorpusError::Io(path, e) => write!(f, "{path}: {e}"),
             CorpusError::Malformed { file, detail } => write!(f, "{file}: {detail}"),
-            CorpusError::Trace(path, e) => write!(f, "{path}: trace decode failed: {e:?}"),
+            CorpusError::Trace(path, e) => write!(f, "{path}: trace decode failed: {e}"),
         }
     }
 }

@@ -14,6 +14,7 @@
 //! Coverage is a pure function of the deterministic run, so the same input
 //! always fingerprints identically — live, replayed, or sharded.
 
+use crate::corpus::CorpusError;
 use hypertap_core::coverage::{
     feature, normalize_detail, CoverageCollector, CoverageMap, StreamCoverage,
 };
@@ -231,12 +232,15 @@ pub fn write_trace_artifact(
 }
 
 /// Reads back a reproducer pair written by [`write_reproducer`] and
-/// returns the divergence it replays to, if any.
-pub fn replay_reproducer(dir: &Path, stem: &str) -> Result<Option<Divergence>, TraceError> {
-    let read = |name: String| -> Result<Trace, TraceError> {
-        let bytes =
-            std::fs::read(dir.join(name)).map_err(|_| TraceError::UnexpectedEof { offset: 0 })?;
-        Trace::decode(&decompress(&bytes)?)
+/// returns the divergence it replays to, if any. A file that cannot be
+/// read is a [`CorpusError::Io`] naming its path.
+pub fn replay_reproducer(dir: &Path, stem: &str) -> Result<Option<Divergence>, CorpusError> {
+    let read = |name: String| -> Result<Trace, CorpusError> {
+        let path = dir.join(name).display().to_string();
+        let bytes = std::fs::read(&path).map_err(|e| CorpusError::Io(path.clone(), e))?;
+        decompress(&bytes)
+            .and_then(|raw| Trace::decode(&raw))
+            .map_err(|e| CorpusError::Trace(path, e))
     };
     let left = read(format!("{stem}-left.htrz"))?;
     let right = read(format!("{stem}-right.htrz"))?;

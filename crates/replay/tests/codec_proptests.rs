@@ -1,6 +1,6 @@
 //! Property-based tests for the trace codec: encoding round-trips exactly,
 //! and malformed input — truncation anywhere, byte corruption anywhere —
-//! produces a structured [`TraceError`], never a panic.
+//! produces a structured [`SnapError`](hypertap_hvsim::snap::SnapError), never a panic.
 
 use hypertap_core::event::{Event, EventKind, SyscallGate, VmId};
 use hypertap_hvsim::clock::SimTime;
