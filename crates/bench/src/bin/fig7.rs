@@ -4,15 +4,12 @@
 
 use hypertap_bench::cli::Args;
 use hypertap_bench::report::{pct, table};
-use hypertap_bench::ubench::{measure_counted, HotpathStats, MonitorConfig};
+use hypertap_bench::ubench::measure;
 use hypertap_workloads::unixbench::Ubench;
 
 fn main() {
     let args = Args::parse();
     let runs: usize = args.get("runs", 1);
-    // Opt-in: host-side cache counters never appear in the default output,
-    // which must stay byte-identical with the TLB enabled or disabled.
-    let cache_stats = args.has("cache-stats");
     println!("Fig. 7 — monitoring overhead on the UnixBench-style suite");
     println!(
         "(relative slowdown vs unmonitored baseline; {} run(s) each; deterministic sim)\n",
@@ -22,10 +19,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut per_class: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();
     let mut sum_check: Vec<(f64, f64)> = Vec::new();
-    let mut totals = HotpathStats::default();
     for bench in Ubench::suite() {
-        let (row, stats) = measure_counted(bench);
-        totals.merge(&stats);
+        let row = measure(bench);
         per_class.entry(bench.class()).or_default().push(row.all);
         sum_check.push((row.all, row.hrkd + row.htninja));
         rows.push(vec![
@@ -54,24 +49,4 @@ fn main() {
         pct(mean_combined),
         pct(mean_summed)
     );
-
-    if cache_stats {
-        println!("\nhost-side hot-path counters (all runs, host bookkeeping only):");
-        println!(
-            "  TLB: {} lookups, {} hits ({:.2}% hit rate), {} fills, {} flushes",
-            totals.tlb.lookups(),
-            totals.tlb.hits,
-            100.0 * totals.tlb.hit_rate(),
-            totals.tlb.fills,
-            totals.tlb.flushes
-        );
-        println!(
-            "  EM:  {} sync deliveries, {} container enqueues, {} fast-skipped, {} unclaimed",
-            totals.em.sync_delivered,
-            totals.em.container_enqueued,
-            totals.em.fast_skipped,
-            totals.em.unclaimed
-        );
-    }
-    let _ = MonitorConfig::ALL;
 }

@@ -13,12 +13,17 @@
 //! | `ninjas` | §VIII-C — detection probability of O-/H-/HT-Ninja |
 //! | `fig7`   | Fig. 7 — monitoring overhead on the UnixBench-style suite |
 //!
+//! plus `flightdump`, which inspects, exports and tails flight-recorder
+//! dumps. Host-time performance is measured by the separate `perf`
+//! package (`perf/README.md`), not here: these binaries report simulated
+//! time only.
+//!
 //! The library half hosts the shared machinery: a tiny CLI parser, table
-//! formatting, the ninja-experiment trial runner and the ubench runner.
+//! formatting, the dump-directory follower, the ninja-experiment trial
+//! runner and the ubench runner.
 
 pub mod cli;
 pub mod follow;
 pub mod ninja_scenarios;
 pub mod report;
-pub mod seedpath;
 pub mod ubench;

@@ -4,11 +4,9 @@
 //! reports the simulated completion time; relative slowdowns against the
 //! unmonitored baseline reproduce the paper's Fig. 7 measurements.
 
-use hypertap_core::em::DeliveryStats;
 use hypertap_guestos::kernel::KernelConfig;
 use hypertap_hvsim::clock::Duration;
 use hypertap_hvsim::machine::RunExit;
-use hypertap_hvsim::tlb::TlbStats;
 use hypertap_monitors::goshd::GoshdConfig;
 use hypertap_monitors::harness::{EngineSelection, TapVm};
 use hypertap_monitors::ninja::rules::NinjaRules;
@@ -28,16 +26,6 @@ pub enum MonitorConfig {
     AllThree,
 }
 
-impl MonitorConfig {
-    /// The three monitored configurations of Fig. 7 (plus the baseline).
-    pub const ALL: [MonitorConfig; 4] = [
-        MonitorConfig::Baseline,
-        MonitorConfig::HrkdOnly,
-        MonitorConfig::HtNinjaOnly,
-        MonitorConfig::AllThree,
-    ];
-}
-
 impl fmt::Display for MonitorConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -49,31 +37,6 @@ impl fmt::Display for MonitorConfig {
     }
 }
 
-/// Host-side cache counters collected from one (or several) runs: software
-/// TLB hit/miss totals and Event Multiplexer delivery counters. These are
-/// host bookkeeping only — they never feed back into simulated time, so
-/// collecting them cannot perturb the measured overheads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HotpathStats {
-    /// Aggregate software-TLB counters (merged over all vCPUs).
-    pub tlb: TlbStats,
-    /// Event Multiplexer delivery counters.
-    pub em: DeliveryStats,
-}
-
-impl HotpathStats {
-    /// Accumulates another stats block into this one.
-    pub fn merge(&mut self, other: &HotpathStats) {
-        self.tlb.merge(&other.tlb);
-        self.em.events_in += other.em.events_in;
-        self.em.sync_delivered += other.em.sync_delivered;
-        self.em.container_enqueued += other.em.container_enqueued;
-        self.em.unclaimed += other.em.unclaimed;
-        self.em.fast_skipped += other.em.fast_skipped;
-        self.em.rhc_samples += other.em.rhc_samples;
-    }
-}
-
 /// Builds and runs one benchmark under one configuration; returns the
 /// simulated completion time.
 ///
@@ -82,13 +45,6 @@ impl HotpathStats {
 /// Panics if the benchmark fails to finish within the safety deadline
 /// (a harness bug, not a modelled condition).
 pub fn run_ubench(bench: Ubench, config: MonitorConfig) -> Duration {
-    run_ubench_counted(bench, config).0
-}
-
-/// Like [`run_ubench`], but also returns the hot-path cache counters the
-/// run accumulated. Reporting them must stay opt-in at the CLI level so the
-/// default experiment output is byte-identical with or without the TLB.
-pub fn run_ubench_counted(bench: Ubench, config: MonitorConfig) -> (Duration, HotpathStats) {
     let mut builder = TapVm::builder()
         .vcpus(2)
         .memory(512 << 20)
@@ -137,9 +93,7 @@ pub fn run_ubench_counted(bench: Ubench, config: MonitorConfig) -> (Duration, Ho
     vm.kernel.set_init_program(init);
     let exit = vm.run_for(Duration::from_secs(600));
     assert_eq!(exit, RunExit::Shutdown, "{bench} under {config} did not finish");
-    let stats =
-        HotpathStats { tlb: vm.machine.vm().tlb_stats(), em: vm.machine.hypervisor().em.stats() };
-    (Duration::from_nanos(vm.now().as_nanos()), stats)
+    Duration::from_nanos(vm.now().as_nanos())
 }
 
 /// Relative overhead of `with` versus `base`.
@@ -164,23 +118,11 @@ pub struct UbenchRow {
 
 /// Runs the full Fig. 7 matrix for one benchmark.
 pub fn measure(bench: Ubench) -> UbenchRow {
-    measure_counted(bench).0
-}
-
-/// Like [`measure`], but also returns the cache counters merged over all
-/// four configuration runs.
-pub fn measure_counted(bench: Ubench) -> (UbenchRow, HotpathStats) {
-    let mut stats = HotpathStats::default();
-    let mut timed = |config| {
-        let (t, s) = run_ubench_counted(bench, config);
-        stats.merge(&s);
-        t
-    };
-    let baseline = timed(MonitorConfig::Baseline);
-    let hrkd = overhead(baseline, timed(MonitorConfig::HrkdOnly));
-    let htninja = overhead(baseline, timed(MonitorConfig::HtNinjaOnly));
-    let all = overhead(baseline, timed(MonitorConfig::AllThree));
-    (UbenchRow { bench, baseline, hrkd, htninja, all }, stats)
+    let baseline = run_ubench(bench, MonitorConfig::Baseline);
+    let hrkd = overhead(baseline, run_ubench(bench, MonitorConfig::HrkdOnly));
+    let htninja = overhead(baseline, run_ubench(bench, MonitorConfig::HtNinjaOnly));
+    let all = overhead(baseline, run_ubench(bench, MonitorConfig::AllThree));
+    UbenchRow { bench, baseline, hrkd, htninja, all }
 }
 
 #[cfg(test)]

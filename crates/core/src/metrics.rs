@@ -798,8 +798,7 @@ impl Spans {
 
 /// Exports the simulator-side metrics of a VM: per-exit-reason counts, the
 /// simulated cycle cost charged to exit handling, and the software TLB's
-/// counters — always-on registry gauges now, not just the benches' opt-in
-/// `--cache-stats` printout.
+/// counters, as always-on registry gauges.
 pub fn collect_vm(reg: &mut MetricsRegistry, vm: &VmState) {
     reg.gauge(
         "hypertap_vm_sim_time_ns",

@@ -267,20 +267,24 @@ mod tests {
         let vms = 6;
         let baseline: Vec<VmReport> =
             (0..vms).map(|i| run_vm_alone(&campaign, VmId(i as u32))).collect();
-        let (report, summary) = run_fleet_campaign(&campaign, vms, 4);
-        assert_eq!(report.per_vm.len(), vms);
-        for (got, want) in report.per_vm.iter().zip(baseline.iter()) {
-            assert_eq!(got.vm, want.vm);
-            assert_eq!(got.findings, want.findings, "vm {:?}", got.vm);
-            assert_eq!(got.stats, want.stats, "vm {:?}", got.vm);
+        // Every worker count must reproduce the lone-VM runs bit for bit:
+        // the worker pool changes scheduling, never per-VM results.
+        for workers in [1, 2, 4, 8] {
+            let (report, summary) = run_fleet_campaign(&campaign, vms, workers);
+            assert_eq!(report.per_vm.len(), vms);
+            for (got, want) in report.per_vm.iter().zip(baseline.iter()) {
+                assert_eq!(got.vm, want.vm);
+                assert_eq!(got.findings, want.findings, "vm {:?} at {workers} workers", got.vm);
+                assert_eq!(got.stats, want.stats, "vm {:?} at {workers} workers", got.vm);
+            }
+            assert_eq!(summary.vms, vms as u64);
+            assert!(summary.events_in > 0, "live guests must produce events");
+            // With ~half the VMs hosting an attack under HT-Ninja + periodic
+            // HRKD, the fleet as a whole must catch something.
+            assert!(
+                !summary.findings_by_auditor.is_empty(),
+                "expected at least one auditor finding across the fleet: {summary:?}"
+            );
         }
-        assert_eq!(summary.vms, vms as u64);
-        assert!(summary.events_in > 0, "live guests must produce events");
-        // With ~half the VMs hosting an attack under HT-Ninja + periodic
-        // HRKD, the fleet as a whole must catch something.
-        assert!(
-            !summary.findings_by_auditor.is_empty(),
-            "expected at least one auditor finding across the fleet: {summary:?}"
-        );
     }
 }
