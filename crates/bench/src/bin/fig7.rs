@@ -2,18 +2,15 @@
 //! UnixBench-style suite, under three configurations (HRKD only, HT-Ninja
 //! only, all three auditors), relative to an unmonitored baseline.
 
-use hypertap_bench::cli::Args;
 use hypertap_bench::report::{pct, table};
 use hypertap_bench::ubench::measure;
 use hypertap_workloads::unixbench::Ubench;
 
 fn main() {
-    let args = Args::parse();
-    let runs: usize = args.get("runs", 1);
     println!("Fig. 7 — monitoring overhead on the UnixBench-style suite");
     println!(
-        "(relative slowdown vs unmonitored baseline; {} run(s) each; deterministic sim)\n",
-        runs
+        "(relative slowdown vs unmonitored baseline; each configuration runs once on a \
+         deterministic simulation)\n"
     );
 
     let mut rows = Vec::new();

@@ -177,7 +177,8 @@ impl CoverageMap {
 /// Stream-derived coverage: consecutive-class edges per vCPU, per-class
 /// totals and tick counts, folded from the pre-filter event stream — the
 /// same stream the trace recorder logs, so coverage computed live through
-/// a [`CoverageTap`] equals coverage folded from the recorded trace.
+/// a [`CoverageCollector`]'s tap equals coverage folded from the recorded
+/// trace.
 #[derive(Debug, Default)]
 pub struct StreamCoverage {
     last_class: BTreeMap<usize, EventClass>,
@@ -226,7 +227,7 @@ impl StreamCoverage {
     }
 }
 
-/// A [`CoverageTap`] factory sharing its accumulator with the caller, the
+/// A coverage-tap factory sharing its accumulator with the caller, the
 /// same shape as the trace recorder: the EM owns the tap box, the collector
 /// keeps the other handle and folds the map after the run.
 pub struct CoverageCollector {
@@ -245,8 +246,9 @@ impl CoverageCollector {
         CoverageCollector { shared: Arc::new(Mutex::new(StreamCoverage::new())) }
     }
 
-    /// The tap to hand to `EventMultiplexer::attach_tap` (possibly inside
-    /// a [`TeeTap`](crate::em::TeeTap) next to a trace recorder).
+    /// The tap to hand to
+    /// [`EventMultiplexer::attach_tap`](crate::em::EventMultiplexer::attach_tap),
+    /// typically after a trace recorder's.
     pub fn tap(&self) -> Box<dyn EventTap> {
         Box::new(CoverageTap { shared: Arc::clone(&self.shared) })
     }

@@ -280,12 +280,6 @@ impl EventMask {
         EventMask(self.0 | EventMask::only(class).0)
     }
 
-    /// The union of two masks — used by the EM to pre-compute the combined
-    /// subscription of every registered auditor and container.
-    pub const fn union(self, other: EventMask) -> EventMask {
-        EventMask(self.0 | other.0)
-    }
-
     /// Whether the mask contains a class.
     pub fn contains(self, class: EventClass) -> bool {
         self.0 & class.bit() != 0
@@ -352,17 +346,6 @@ mod tests {
         for c in EventClass::ALL {
             assert!(EventMask::ALL.contains(c), "ALL should contain {c}");
         }
-    }
-
-    #[test]
-    fn mask_union() {
-        let a = EventMask::only(EventClass::Syscall);
-        let b = EventMask::only(EventClass::Io);
-        let u = a.union(b);
-        assert!(u.contains(EventClass::Syscall));
-        assert!(u.contains(EventClass::Io));
-        assert!(!u.contains(EventClass::Memory));
-        assert_eq!(EventMask::NONE.union(EventMask::NONE), EventMask::NONE);
     }
 
     #[test]

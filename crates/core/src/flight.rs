@@ -5,22 +5,21 @@
 //! ring of the most recent activity: forwarded events (each stamped with
 //! its [`EventRef`] sequence number), periodic ticks, auditor state
 //! transitions (GOSHD liveness flips, HRKD scan epochs, HT-Ninja
-//! privilege-track edges), findings with their causal provenance, audit
-//! container panics, and host-side pipeline / fleet-slice spans.
+//! privilege-track edges), findings with their causal provenance, and
+//! host-side pipeline / fleet-slice spans.
 //!
 //! Unlike the replay crate's [`crate::em::EventTap`] recorder, the flight
 //! recorder is **always on** and **allocation-lean**: events are `Copy`
 //! and land in a pre-sized ring; strings are only allocated for the rare
-//! record kinds (transitions, findings, panics). Recording is purely
+//! record kinds (transitions, findings, spans). Recording is purely
 //! host-side state — the recorder-on/off conformance pair in the replay
 //! crate proves the simulated event stream is byte-identical either way.
 //!
-//! On failure — an auditor panic, a conformance divergence, or a fleet
-//! worker panic — the ring is serialized to a versioned `.htfr` dump
-//! ([`FlightDump`], format [`FLIGHT_VERSION`], written with the
-//! [`hypertap_hvsim::snap`] codec) that the `flightdump`
-//! inspector pretty-prints or exports as Chrome trace-event JSON for
-//! `chrome://tracing` / Perfetto.
+//! On failure — a conformance divergence or a fleet worker panic — the
+//! ring is serialized to a versioned `.htfr` dump ([`FlightDump`], format
+//! [`FLIGHT_VERSION`], written with the [`hypertap_hvsim::snap`] codec)
+//! that the `flightdump` inspector pretty-prints or exports as Chrome
+//! trace-event JSON for `chrome://tracing` / Perfetto.
 
 use crate::audit::{Finding, Severity};
 use crate::event::{Event, EventClass, EventRef, VmId};
@@ -32,8 +31,9 @@ use std::collections::VecDeque;
 /// record encoding; [`FlightDump::decode`] rejects versions it does not
 /// understand rather than misparsing them. Version 1 was a fixed-width
 /// little-endian layout; version 2 shares the varint record encoding of
-/// the `.htsp` flight section.
-pub const FLIGHT_VERSION: u64 = 2;
+/// the `.htsp` flight section; version 3 dropped the audit-container panic
+/// record (tag `0x05`, now rejected as an unknown tag).
+pub const FLIGHT_VERSION: u64 = 3;
 
 /// Default ring capacity (records, not bytes).
 pub const DEFAULT_CAPACITY: usize = 256;
@@ -44,7 +44,6 @@ const TAG_EVENT: u8 = 0x01;
 const TAG_TICK: u8 = 0x02;
 const TAG_TRANSITION: u8 = 0x03;
 const TAG_FINDING: u8 = 0x04;
-const TAG_PANIC: u8 = 0x05;
 const TAG_SPAN: u8 = 0x06;
 
 /// One in-memory ring entry. Events are kept as the `Copy` struct they
@@ -64,11 +63,6 @@ enum RingRecord {
         detail: String,
     },
     Finding(Finding),
-    Panic {
-        container: String,
-        message: String,
-        count: u64,
-    },
     Span {
         name: &'static str,
         start: SimTime,
@@ -204,19 +198,6 @@ impl FlightRecorder {
         self.push(RingRecord::Finding(finding.clone()));
     }
 
-    /// Retains an audit-container panic (`count` is the container's panic
-    /// total including this one).
-    pub fn note_panic(&mut self, container: &str, message: &str, count: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.push(RingRecord::Panic {
-            container: container.to_owned(),
-            message: message.to_owned(),
-            count,
-        });
-    }
-
     /// Retains a host-side span (pipeline stage, fleet worker slice)
     /// anchored at simulated time `start` with a measured duration.
     pub fn note_span(&mut self, name: &'static str, start: SimTime, duration_ns: u64, track: u32) {
@@ -307,11 +288,6 @@ fn render_record(r: &RingRecord) -> DumpRecord {
             message: f.message.clone(),
             provenance: f.provenance.clone(),
         },
-        RingRecord::Panic { container, message, count } => DumpRecord::Panic {
-            container: container.clone(),
-            message: message.clone(),
-            count: *count,
-        },
         RingRecord::Span { name, start, duration_ns, track } => DumpRecord::Span {
             name: (*name).to_owned(),
             start: *start,
@@ -355,12 +331,6 @@ fn save_record(w: &mut SnapWriter, rec: &DumpRecord) {
             for r in provenance {
                 w.varint(r.0);
             }
-        }
-        DumpRecord::Panic { container, message, count } => {
-            w.byte(TAG_PANIC);
-            w.string(container);
-            w.string(message);
-            w.varint(*count);
         }
         DumpRecord::Span { name, start, duration_ns, track } => {
             w.byte(TAG_SPAN);
@@ -414,9 +384,6 @@ fn load_record(r: &mut SnapReader<'_>) -> Result<DumpRecord, SnapError> {
             }
             DumpRecord::Finding { time, auditor, severity, message, provenance }
         }
-        TAG_PANIC => {
-            DumpRecord::Panic { container: r.string()?, message: r.string()?, count: r.varint()? }
-        }
         TAG_SPAN => DumpRecord::Span {
             name: r.string()?,
             start: SimTime::from_nanos(r.varint()?),
@@ -447,8 +414,6 @@ pub enum DumpRecord {
         message: String,
         provenance: Vec<EventRef>,
     },
-    /// An audit container panic.
-    Panic { container: String, message: String, count: u64 },
     /// A host-side span (pipeline stage or fleet slice).
     Span { name: String, start: SimTime, duration_ns: u64, track: u32 },
 }
@@ -458,7 +423,7 @@ pub enum DumpRecord {
 pub struct FlightDump {
     /// Format version ([`FLIGHT_VERSION`] when freshly dumped).
     pub version: u64,
-    /// Why the dump was taken ("container-panic", "conformance-divergence",
+    /// Why the dump was taken ("conformance-divergence",
     /// "fleet-worker-panic", ...).
     pub reason: String,
     /// Ring capacity at dump time.
@@ -540,12 +505,6 @@ impl FlightDump {
                         out,
                         "       !  [{time} {severity}] {auditor}: {message} \
                          (triggered by exits {refs})"
-                    );
-                }
-                DumpRecord::Panic { container, message, count } => {
-                    let _ = writeln!(
-                        out,
-                        "       X  container '{container}' panic #{count}: {message}"
                     );
                 }
                 DumpRecord::Span { name, start, duration_ns, track } => {
@@ -648,22 +607,6 @@ impl FlightDump {
                         ),
                     ])
                 }
-                DumpRecord::Panic { container, message, count } => Value::Object(vec![
-                    ("name".into(), Value::Str(format!("panic: {message}"))),
-                    ("cat".into(), Value::Str("panic".into())),
-                    ("ph".into(), Value::Str("i".into())),
-                    ("ts".into(), Value::F64(0.0)),
-                    ("pid".into(), Value::U64(default_pid)),
-                    ("tid".into(), Value::U64(0)),
-                    ("s".into(), Value::Str("g".into())),
-                    (
-                        "args".into(),
-                        Value::Object(vec![
-                            ("container".into(), Value::Str(container.clone())),
-                            ("count".into(), Value::U64(*count)),
-                        ]),
-                    ),
-                ]),
                 DumpRecord::Span { name, start, duration_ns, track } => Value::Object(vec![
                     ("name".into(), Value::Str(name.clone())),
                     ("cat".into(), Value::Str("span".into())),
@@ -828,7 +771,6 @@ mod tests {
             &Finding::new("goshd", SimTime::from_millis(3), Severity::Alert, "vcpu0 hung")
                 .with_provenance(vec![r0]),
         );
-        fr.note_panic("panicky", "auditor bug!", 2);
         fr.note_span("decode", SimTime::from_millis(1), 1234, 0);
         let dump = fr.dump("unit-test");
         let bytes = dump.encode();
@@ -836,7 +778,7 @@ mod tests {
         assert_eq!(back, dump);
         assert_eq!(back.version, FLIGHT_VERSION);
         assert_eq!(back.reason, "unit-test");
-        assert_eq!(back.records.len(), 6);
+        assert_eq!(back.records.len(), 5);
         assert!(matches!(
             &back.records[3],
             DumpRecord::Finding { provenance, .. } if provenance == &vec![EventRef(0)]
@@ -852,7 +794,7 @@ mod tests {
                 .with_provenance(vec![r]),
         );
         let text = fr.dump("render-test").render();
-        assert!(text.contains("HTFR v2"), "{text}");
+        assert!(text.contains("HTFR v3"), "{text}");
         assert!(text.contains("render-test"), "{text}");
         assert!(text.contains("process switch"), "{text}");
         assert!(text.contains("triggered by exits #0"), "{text}");

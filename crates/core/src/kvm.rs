@@ -20,7 +20,8 @@ use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
 /// The hypervisor: exit dispatch + Event Forwarder + Event Multiplexer.
 pub struct Kvm {
     engines: Vec<Box<dyn InterceptEngine>>,
-    /// The Event Multiplexer — register auditors and containers here.
+    /// The Event Multiplexer — register auditors and attach observers
+    /// (trace recorders, audit containers) here.
     pub em: EventMultiplexer,
     vm_id: VmId,
     forwarded_events: u64,
@@ -145,12 +146,7 @@ impl Kvm {
     ///
     /// Not captured: the wall-clock span probes (host instrumentation) and
     /// the per-exit event buffer (refilled from scratch on every exit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapError::Unsupported`] from the EM when audit
-    /// containers are attached.
-    pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+    pub fn save_state(&self, w: &mut SnapWriter) {
         w.varint(u64::from(self.vm_id.0));
         w.varint(self.forwarded_events);
         w.varint(self.engines.len() as u64);
@@ -158,7 +154,7 @@ impl Kvm {
             w.string(e.name());
             w.bytes(&e.snapshot_state());
         }
-        self.em.save_state(w)
+        self.em.save_state(w);
     }
 
     /// Restores state written by [`Kvm::save_state`] into a forwarder

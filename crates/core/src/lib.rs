@@ -15,10 +15,13 @@
 //!   here, tested directly.
 //! * [`kvm`] — the KVM hypervisor model with the **Event Forwarder** (EF)
 //!   integrated at the exit-dispatch point (the paper's <100-line KVM patch).
-//! * [`em`] — the **Event Multiplexer** (EM): buffers events from the EF and
-//!   delivers them to registered auditors, either synchronously (blocking
-//!   logging, non-blocking audit in-line) or into panic-isolated *audit
-//!   containers* (the paper runs auditors in LXC containers on the host).
+//! * [`em`] — the **Event Multiplexer** (EM): receives events from the EF
+//!   and delivers them to the auditors subscribed to their class (blocking
+//!   logging, in-line audit), after an ordered list of passive observers
+//!   ([`em::EventTap`]) has seen the whole stream.
+//! * [`container`] — panic-isolated *audit containers*: an auditor on its
+//!   own host thread behind one EM observer (the paper runs auditors in LXC
+//!   containers on the host).
 //! * [`audit`] — the [`audit::Auditor`] trait plus findings plumbing; the
 //!   concrete example auditors (GOSHD, HRKD, the Ninjas) live in the
 //!   `hypertap-monitors` crate.
@@ -26,7 +29,7 @@
 //!   kernel data structures from memory. Deliberately **untrusted** — this
 //!   is the surface DKOM rootkits corrupt — and used only for baseline
 //!   monitors and for cross-view validation.
-//! * [`derive`] — OS-state derivation rooted at architectural invariants
+//! * [`mod@derive`] — OS-state derivation rooted at architectural invariants
 //!   (TR → TSS → kernel stack → `thread_info` → `task_struct`), the trusted
 //!   path of the paper's §IV-B.
 //! * [`rhc`] — the **Remote Health Checker**: samples of the event stream
@@ -80,6 +83,7 @@
 //! ```
 
 pub mod audit;
+pub mod container;
 pub mod coverage;
 pub mod derive;
 pub mod em;
@@ -99,7 +103,7 @@ pub mod vmi;
 pub mod prelude {
     pub use crate::audit::{Auditor, CountingAuditor, Finding, FindingSink, Severity};
     pub use crate::coverage::{CoverageCollector, CoverageMap, StreamCoverage};
-    pub use crate::em::{DeliveryStats, EventMultiplexer, EventTap, TeeTap};
+    pub use crate::em::{DeliveryStats, EventMultiplexer, EventTap};
     pub use crate::event::{Event, EventClass, EventKind, EventMask, EventRef, SyscallGate, VmId};
     pub use crate::fleet::{
         run_fleet, run_fleet_telemetry, run_vm_alone, FleetAggregator, FleetConfig, FleetHost,

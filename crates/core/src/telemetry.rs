@@ -233,8 +233,6 @@ pub struct VmProbe {
     /// Findings accumulated in the EM but not yet drained — delivery-ring
     /// backpressure as seen by the audit phase.
     pub pending_findings: u64,
-    /// Events queued in audit-container mailboxes, summed.
-    pub container_backlog: u64,
 }
 
 /// One VM's row in the `/vms` table.
@@ -534,7 +532,6 @@ impl TelemetryHub {
                     ("now_ns".to_owned(), Value::U64(s.probe.now_ns)),
                     ("events_in".to_owned(), Value::U64(s.probe.events_in)),
                     ("pending_findings".to_owned(), Value::U64(s.probe.pending_findings)),
-                    ("container_backlog".to_owned(), Value::U64(s.probe.container_backlog)),
                     ("findings".to_owned(), Value::U64(s.findings)),
                     ("halted".to_owned(), Value::Bool(s.halted)),
                 ])

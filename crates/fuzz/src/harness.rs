@@ -1,10 +1,10 @@
 //! Running fuzz inputs and extracting their coverage.
 //!
-//! A scenario input runs in the live simulator with the EM tap slot split
-//! between the trace recorder and a coverage tap ([`TeeTap`]); a trace
-//! input runs through the replay path with the same auditor registration
-//! the conformance fuzzer uses. Both produce a [`RunObservation`]: the
-//! trace, the verdict, the flight dump, and a coverage map folding
+//! A scenario input runs in the live simulator with two EM observers, the
+//! trace recorder and then a coverage tap; a trace input runs through the
+//! replay path with the same auditor registration the conformance fuzzer
+//! uses. Both produce a [`RunObservation`]: the trace, the verdict, the
+//! flight dump, and a coverage map folding
 //!
 //! * consecutive-class stream edges and per-class histograms (the tap),
 //! * auditor state-transition edges from the flight recorder (normalized
@@ -18,7 +18,7 @@ use crate::corpus::CorpusError;
 use hypertap_core::coverage::{
     feature, normalize_detail, CoverageCollector, CoverageMap, StreamCoverage,
 };
-use hypertap_core::em::{EventMultiplexer, TeeTap};
+use hypertap_core::em::EventMultiplexer;
 use hypertap_core::flight::{DumpRecord, FlightDump};
 use hypertap_core::prelude::VmId;
 use hypertap_monitors::goshd::{Goshd, GoshdConfig};
@@ -132,7 +132,8 @@ pub fn fold_trace(trace: &Trace, stream: &mut StreamCoverage) {
 }
 
 /// Runs a scenario live under `variant`, recording the trace and folding
-/// coverage in a single pass through a [`TeeTap`] at the EM boundary.
+/// coverage in a single pass: the recorder and then the coverage tap
+/// observe the EM stream.
 pub fn observe_scenario(scenario: &Scenario, variant: &ConfigVariant) -> RunObservation {
     let mut vm = build_scenario_vm(scenario, variant, VmId(0));
     let recorder = TraceRecorder::new(TraceHeader::new(
@@ -146,7 +147,8 @@ pub fn observe_scenario(scenario: &Scenario, variant: &ConfigVariant) -> RunObse
         let em = &mut vm.machine.hypervisor_mut().em;
         em.flight_mut().set_capacity(FLIGHT_CAPACITY);
         register_extra_fuzz_auditors(em, scenario.vcpus);
-        em.attach_tap(Box::new(TeeTap::new(recorder.tap(), collector.tap())));
+        em.attach_tap(recorder.tap());
+        em.attach_tap(collector.tap());
     }
     vm.run_for(scenario.duration);
     let flight = vm.flight_dump("scenariofuzz");

@@ -165,7 +165,6 @@ impl FleetVm for FleetMember {
             now_ns: self.vm.now().as_nanos(),
             events_in: em.stats().events_in,
             pending_findings: em.pending_findings() as u64,
-            container_backlog: em.container_backlog(),
         })
     }
 }

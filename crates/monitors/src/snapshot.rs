@@ -7,9 +7,8 @@
 //! `Kvm::save_state`). Everything deterministic is captured: vCPU register
 //! files, guest memory (RLE zero-page compression), EPT and tracked paging
 //! structures, device/clock/timer state, pending IRQs, per-vCPU TLBs,
-//! interception-engine state, the Event Multiplexer's routing/sequence
-//! counters and findings, auditor state machines, and the flight-recorder
-//! ring. Host-side wall-clock instrumentation (metric spans, dispatch
+//! interception-engine state, the Event Multiplexer's delivery counters
+//! and findings, auditor state machines, and the flight-recorder ring. Host-side wall-clock instrumentation (metric spans, dispatch
 //! latencies) is deliberately absent — the metrics-on/off conformance pair
 //! proves it cannot influence the stream.
 //!
@@ -41,8 +40,10 @@ pub const HTSP_MAGIC: &[u8; 4] = b"HTSP";
 
 /// Current `.htsp` format version. Version 2 dropped the Event
 /// Forwarder's batching flag and staging-ring counters from the hypervisor
-/// section; version-1 blobs are rejected as unsupported.
-pub const HTSP_VERSION: u64 = 2;
+/// section; version 3 dropped the Event Multiplexer's audit-container
+/// counters and panic log, and the flight ring's panic records. Older
+/// blobs are rejected as unsupported.
+pub const HTSP_VERSION: u64 = 3;
 
 impl TapVm {
     /// Serializes the whole monitored VM into a versioned `.htsp` blob.
@@ -50,14 +51,13 @@ impl TapVm {
     /// # Errors
     ///
     /// Fails with [`SnapError::Unsupported`] when the VM holds state that
-    /// cannot be captured: a live task running a closure-backed program,
-    /// or an EM with asynchronous audit containers attached.
+    /// cannot be captured: a live task running a closure-backed program.
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
         let mut w = SnapWriter::new();
         w.header(HTSP_MAGIC, HTSP_VERSION);
         self.kernel.save_state(&mut w)?;
         self.machine.vm().save_state(&mut w);
-        self.machine.hypervisor().save_state(&mut w)?;
+        self.machine.hypervisor().save_state(&mut w);
         Ok(w.into_bytes())
     }
 

@@ -1,7 +1,7 @@
 //! The trace recorder: an [`EventTap`] at the Event Forwarder boundary.
 //!
-//! The recorder attaches to the Event Multiplexer's tap point, which sits
-//! *before* the combined-subscription fast-skip — so the trace is the full
+//! The recorder attaches as an Event Multiplexer observer, which sees each
+//! event *before* subscription routing — so the trace is the full
 //! forwarded stream, including events no registered auditor subscribed to.
 //! That is the stream the conformance harness diffs: the logging layer's
 //! output, independent of which auditors happen to be listening.

@@ -719,6 +719,57 @@ mod tests {
     }
 
     #[test]
+    fn panicking_container_changes_neither_trace_nor_verdict() {
+        // An audit container only observes: a run with one attached, which
+        // panics and is rebuilt again and again, must record a
+        // byte-identical trace and reach the same verdict as a run with
+        // none, under Exact.
+        use hypertap_core::audit::{Finding, Severity};
+        use hypertap_core::container::{self, ContainerAuditor};
+        use hypertap_core::event::Event;
+        struct Crashy(u64);
+        impl ContainerAuditor for Crashy {
+            fn name(&self) -> &str {
+                "crashy"
+            }
+            fn subscriptions(&self) -> EventMask {
+                EventMask::ALL
+            }
+            fn on_event(&mut self, event: &Event) -> Vec<Finding> {
+                self.0 += 1;
+                if self.0 == 500 {
+                    panic!("crashy bug");
+                }
+                vec![Finding::new("crashy", event.time, Severity::Alert, "seen")]
+            }
+        }
+        let s = Scenario::sample(7, 5);
+        let (base, live) = run_scenario(&s, &BASE);
+
+        let mut vm = build_scenario_vm(&s, &BASE, VmId(0));
+        let recorder = TraceRecorder::new(TraceHeader::new(
+            s.vcpus as u64,
+            s.seed,
+            s.name.clone(),
+            BASE.label,
+        ));
+        let (tap, handle) = container::spawn(Box::new(|| Box::new(Crashy(0))));
+        let em = &mut vm.machine.hypervisor_mut().em;
+        em.attach_tap(Box::new(tap));
+        em.attach_tap(recorder.tap());
+        vm.run_for(s.duration);
+        vm.machine.hypervisor_mut().em.detach_tap();
+        let trace = recorder.finish();
+        let verdict = Verdict::collect(&mut vm.machine.hypervisor_mut().em, &trace);
+        let (restarts, findings, _) = handle.shutdown();
+
+        assert!(restarts > 0, "the container crashed at least once");
+        assert_eq!(findings.len() as u64 + restarts, trace.event_count());
+        assert_eq!(diff_traces(&base, &trace, DiffPolicy::Exact), None);
+        assert_eq!(verdict, live);
+    }
+
+    #[test]
     fn metrics_pair_is_conformant_and_verdicts_match() {
         // The tentpole's determinism proof, in miniature: a fully
         // instrumented run (spans + dispatch latency + per-auditor

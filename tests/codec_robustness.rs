@@ -88,7 +88,6 @@ fn flight_sample() -> Vec<u8> {
         &Finding::new("goshd", SimTime::from_millis(3), Severity::Alert, "vcpu1 hung")
             .with_provenance(vec![seq]),
     );
-    fr.note_panic("panicky", "auditor bug!", 2);
     fr.note_span("decode", SimTime::from_millis(1), 1234, 7);
     fr.dump_bytes("robustness")
 }

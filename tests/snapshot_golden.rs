@@ -86,6 +86,10 @@ fn version_skew_is_a_structured_error() {
     let mut v1 = checked_in(name);
     v1[4] = 1;
     assert_eq!(vm.restore(&v1), Err(SnapError::UnsupportedVersion(1)));
+    // Version 2 carried the EM's audit-container counters and panic log.
+    let mut v2 = checked_in(name);
+    v2[4] = 2;
+    assert_eq!(vm.restore(&v2), Err(SnapError::UnsupportedVersion(2)));
     let mut wrong_magic = checked_in(name);
     wrong_magic[0] = b'X';
     assert_eq!(vm.restore(&wrong_magic), Err(SnapError::BadMagic));

@@ -3,7 +3,7 @@
 
 use hypertap::harness::{EngineSelection, TapVm};
 use hypertap::prelude::*;
-use hypertap_core::em::ContainerAuditor;
+use hypertap_core::container::{self, ContainerAuditor};
 use hypertap_core::event::EventClass;
 use hypertap_guestos::layout;
 use hypertap_guestos::program::UserView;
@@ -58,16 +58,18 @@ fn audit_containers_receive_and_survive_panics() {
     }
 
     let mut vm = TapVm::builder().engines(EngineSelection::context_switch_only()).build();
-    vm.machine.hypervisor_mut().em.register_container(Box::new(|| Box::new(Flaky { seen: 0 })));
+    let (tap, handle) = container::spawn(Box::new(|| Box::new(Flaky { seen: 0 })));
+    vm.machine.hypervisor_mut().em.attach_tap(Box::new(tap));
     vm.run_for(Duration::from_secs(2));
 
-    let enqueued = vm.machine.hypervisor().em.stats().container_enqueued;
-    assert!(enqueued > 0, "events flowed to the container");
-    let restarts = vm.machine.hypervisor_mut().em.shutdown_containers();
-    assert_eq!(restarts.len(), 1);
-    assert!(restarts[0].1 > 0, "the container absorbed at least one panic");
-    let findings = vm.drain_findings();
+    let (restarts, findings, panics) = handle.shutdown();
+    // Every delivered event either reported a finding or panicked.
+    let delivered = findings.len() as u64 + restarts;
+    assert!(delivered > 0, "events flowed to the container");
+    assert!(restarts > 0, "the container absorbed at least one panic");
+    assert_eq!(panics.len() as u64, restarts);
     assert!(!findings.is_empty(), "findings from before/after crashes survive");
+    assert!(vm.drain_findings().is_empty(), "container findings stay out of the VM's stream");
 }
 
 /// The kernel-integrity auditor blocks an in-guest attempt to patch kernel
