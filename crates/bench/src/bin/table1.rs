@@ -30,7 +30,7 @@ fn main() {
             vec![
                 r.category.to_string(),
                 r.guest_event.to_string(),
-                r.vm_exit.to_string(),
+                r.vm_exit_column(),
                 r.invariant.to_string(),
             ]
         })

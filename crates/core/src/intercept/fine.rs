@@ -9,7 +9,7 @@
 use super::{InterceptEngine, Table1Row};
 use crate::event::EventKind;
 use hypertap_hvsim::ept::{AccessKind, EptPerm};
-use hypertap_hvsim::exit::{ExitAction, VmExit, VmExitKind};
+use hypertap_hvsim::exit::{ExitAction, ExitReason, VmExit, VmExitKind};
 use hypertap_hvsim::machine::VmState;
 use hypertap_hvsim::mem::Gfn;
 use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
@@ -19,14 +19,16 @@ static ROWS: [Table1Row; 2] = [
     Table1Row {
         category: "Low-level interception",
         guest_event: "Memory access",
-        vm_exit: "EPT_VIOLATION",
+        vm_exit: &[ExitReason::EptViolation],
+        armed_by: &[],
         invariant:
             "Accesses to memory regions with proper permissions cause EPT_VIOLATION VM Exits",
     },
     Table1Row {
         category: "Low-level interception",
         guest_event: "Instruction execution",
-        vm_exit: "EPT_VIOLATION",
+        vm_exit: &[ExitReason::EptViolation],
+        armed_by: &[],
         invariant:
             "Execution of instructions from non-executable regions causes EPT_VIOLATION VM Exits",
     },
@@ -158,7 +160,7 @@ pub fn perm_watching(kinds: &[AccessKind]) -> EptPerm {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::machine_with;
+    use super::super::testutil::{engine, events, machine_with};
     use super::*;
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::machine::GuestProgram;
@@ -199,30 +201,19 @@ mod tests {
         let mut m = machine_with(Box::new(FineGrainedEngine::new()));
         let mut g = WriteGuest { booted: false };
         m.run_steps(&mut g, 1); // boot
-                                // Find the data frame and watch writes to it.
         let gpa = {
             let vm = m.vm();
             hypertap_hvsim::paging::walk(&vm.mem, vm.vcpu(VcpuId(0)).cr3(), Gva::new(DATA_GVA))
                 .unwrap()
         };
-        {
-            let (vm, hv) = m.parts_mut();
-            let engine = &mut hv.engine;
-            // Downcast through trait object is awkward in the shared harness;
-            // drive watch_frame through a fresh engine reference instead.
-            let any: &mut dyn InterceptEngine = engine.as_mut();
-            let _ = any;
-            // Re-create: simplest is to watch via a second engine instance is
-            // wrong — instead watch using the EPT directly mirrors watch_frame.
-            let mut fge = FineGrainedEngine::new();
-            fge.watch_frame(vm, gpa.gfn(), EptPerm::RX);
-            assert_eq!(fge.watched_frames(), 1);
-            *engine = Box::new(fge);
-        }
+        // Watch writes to the data frame through the installed engine.
+        let (vm, kvm) = m.parts_mut();
+        let fge = kvm.engine_mut("fine-grained").unwrap().as_any_mut();
+        let fge = fge.downcast_mut::<FineGrainedEngine>().unwrap();
+        fge.watch_frame(vm, gpa.gfn(), EptPerm::RX);
+        assert_eq!(engine::<FineGrainedEngine>(&mut m).watched_frames(), 1);
         m.run_steps(&mut g, 2);
-        let mems: Vec<_> = m
-            .hypervisor()
-            .events
+        let mems: Vec<_> = events(&m)
             .iter()
             .filter(|(_, k)| matches!(k, EventKind::MemoryAccess { .. }))
             .collect();

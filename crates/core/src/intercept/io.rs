@@ -9,32 +9,36 @@
 use super::{InterceptEngine, Table1Row};
 use crate::event::EventKind;
 use hypertap_hvsim::ept::AccessKind;
-use hypertap_hvsim::exit::{ExitAction, VmExit, VmExitKind};
+use hypertap_hvsim::exit::{ExitAction, ExitReason, VmExit, VmExitKind};
 use hypertap_hvsim::machine::VmState;
 
 static ROWS: [Table1Row; 4] = [
     Table1Row {
         category: "I/O access interception",
         guest_event: "Programmed I/O",
-        vm_exit: "IO_INST",
+        vm_exit: &[ExitReason::IoInst],
+        armed_by: &[],
         invariant: "Execution of I/O instructions (e.g., IN, INS, OUT, OUTS)",
     },
     Table1Row {
         category: "I/O access interception",
         guest_event: "Memory mapped I/O",
-        vm_exit: "EPT_VIOLATION",
+        vm_exit: &[ExitReason::EptViolation],
+        armed_by: &[],
         invariant: "Access to memory mapped I/O areas, which are set as protected",
     },
     Table1Row {
         category: "I/O access interception",
         guest_event: "Hardware interrupt",
-        vm_exit: "EXTERNAL_INT",
+        vm_exit: &[ExitReason::ExternalInt],
+        armed_by: &[],
         invariant: "Hardware interrupt delivery causes EXTERNAL_INT VM Exits",
     },
     Table1Row {
         category: "I/O access interception",
         guest_event: "I/O APIC access",
-        vm_exit: "APIC_ACCESS",
+        vm_exit: &[ExitReason::ApicAccess],
+        armed_by: &[],
         invariant: "I/O Advanced Programmable Interrupt Controller (APIC) events",
     },
 ];
@@ -105,7 +109,7 @@ impl InterceptEngine for IoEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::machine_with;
+    use super::super::testutil::{events, machine_with};
     use super::*;
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::device::LatchDevice;
@@ -152,7 +156,7 @@ mod tests {
         m.vm_mut().inject_irq(VcpuId(0), 0x33);
         let mut g = IoGuest { booted: false, mmio_gva: Gva::new(0x2000_0000) };
         m.run_steps(&mut g, 3);
-        let kinds: Vec<_> = m.hypervisor().events.iter().map(|(_, k)| *k).collect();
+        let kinds: Vec<_> = events(&m).iter().map(|(_, k)| *k).collect();
         assert!(kinds
             .iter()
             .any(|k| matches!(k, EventKind::IoPort { port: 0x1f0, write: true, value: 0x42 })));
@@ -171,11 +175,11 @@ mod tests {
             }
         }
         m.run_steps(&mut ApicGuest, 1);
-        assert!(m.hypervisor().events.is_empty());
+        assert!(events(&m).is_empty());
 
         let mut m2 = machine_with(Box::new(IoEngine::with_apic_events()));
         m2.run_steps(&mut ApicGuest, 1);
-        assert!(matches!(m2.hypervisor().events[0].1, EventKind::ApicAccess { .. }));
+        assert!(matches!(events(&m2)[0].1, EventKind::ApicAccess { .. }));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use super::{InterceptEngine, Table1Row};
 use crate::event::EventKind;
-use hypertap_hvsim::exit::{ExitAction, VmExit, VmExitKind};
+use hypertap_hvsim::exit::{ExitAction, ExitReason, VmExit, VmExitKind};
 use hypertap_hvsim::machine::VmState;
 use hypertap_hvsim::mem::{Gpa, GuestMemory, Gva};
 use hypertap_hvsim::paging;
@@ -17,22 +17,23 @@ use std::collections::BTreeSet;
 static ROWS: [Table1Row; 1] = [Table1Row {
     category: "Context switch interception",
     guest_event: "Process context switch",
-    vm_exit: "CR_ACCESS",
+    vm_exit: &[ExitReason::CrAccess],
+    armed_by: &[],
     invariant: "The CR3 register always points to the PDBA of the running process; \
                 writes to CR registers cause CR_ACCESS VM Exits",
 }];
 
-/// Traps CR3 loads and emits [`EventKind::ProcessSwitch`] events.
+/// Decodes CR3 loads into [`EventKind::ProcessSwitch`] events. CR3-load
+/// exiting is switched on by [`crate::kvm::Kvm`], because this engine's row
+/// names `CR_ACCESS`.
 #[derive(Debug, Default)]
-pub struct ProcessSwitchEngine {
-    enabled: bool,
-}
+pub struct ProcessSwitchEngine;
 
 impl ProcessSwitchEngine {
     /// Creates the engine (enable it via [`InterceptEngine::enable`] or
     /// [`crate::kvm::Kvm::install`]).
     pub fn new() -> Self {
-        ProcessSwitchEngine::default()
+        ProcessSwitchEngine
     }
 }
 
@@ -49,15 +50,9 @@ impl InterceptEngine for ProcessSwitchEngine {
         &ROWS
     }
 
-    fn enable(&mut self, vm: &mut VmState) {
-        vm.controls_mut().set_cr3_load_exiting(true);
-        self.enabled = true;
-    }
+    fn enable(&mut self, _vm: &mut VmState) {}
 
-    fn disable(&mut self, vm: &mut VmState) {
-        vm.controls_mut().set_cr3_load_exiting(false);
-        self.enabled = false;
-    }
+    fn disable(&mut self, _vm: &mut VmState) {}
 
     fn on_exit(
         &mut self,
@@ -136,7 +131,7 @@ impl ProcessCounter {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::machine_with;
+    use super::super::testutil::{events, machine_with};
     use super::*;
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::machine::GuestProgram;
@@ -161,7 +156,7 @@ mod tests {
         let mut m = machine_with(Box::new(ProcessSwitchEngine::new()));
         let mut g = SwitchLoop { pdbas: vec![0x1000, 0x2000, 0x1000], i: 0 };
         m.run_steps(&mut g, 3);
-        let events = &m.hypervisor().events;
+        let events = events(&m);
         assert_eq!(events.len(), 3);
         assert!(matches!(
             events[0].1,
@@ -170,13 +165,14 @@ mod tests {
     }
 
     #[test]
-    fn disable_stops_events() {
+    fn uninstall_stops_events() {
         let mut m = machine_with(Box::new(ProcessSwitchEngine::new()));
-        let (vm, hv) = m.parts_mut();
-        hv.engine.disable(vm);
+        let (vm, kvm) = m.parts_mut();
+        assert!(kvm.uninstall(vm, "process-switch"));
         let mut g = SwitchLoop { pdbas: vec![0x1000], i: 0 };
         m.run_steps(&mut g, 3);
-        assert!(m.hypervisor().events.is_empty());
+        assert!(events(&m).is_empty());
+        assert_eq!(m.vm().stats().total(), 0, "CR3 loads no longer exit");
     }
 
     #[test]
@@ -229,6 +225,6 @@ mod tests {
     fn table1_row_present() {
         let e = ProcessSwitchEngine::new();
         assert_eq!(e.table1_rows().len(), 1);
-        assert_eq!(e.table1_rows()[0].vm_exit, "CR_ACCESS");
+        assert_eq!(e.table1_rows()[0].vm_exit, [ExitReason::CrAccess]);
     }
 }

@@ -20,7 +20,9 @@
 use super::{InterceptEngine, Table1Row};
 use crate::event::{EventKind, SyscallGate};
 use hypertap_hvsim::ept::{AccessKind, EptPerm};
-use hypertap_hvsim::exit::{ExceptionType, ExitAction, VcpuSnapshot, VmExit, VmExitKind};
+use hypertap_hvsim::exit::{
+    ExceptionType, ExitAction, ExitReason, VcpuSnapshot, VmExit, VmExitKind,
+};
 use hypertap_hvsim::machine::VmState;
 use hypertap_hvsim::mem::{Gfn, Gva};
 use hypertap_hvsim::paging;
@@ -48,7 +50,8 @@ fn decode_syscall(state: &VcpuSnapshot) -> (u64, [u64; 5]) {
 static INT_ROWS: [Table1Row; 1] = [Table1Row {
     category: "System call interception",
     guest_event: "Interrupt-based system call",
-    vm_exit: "EXCEPTION",
+    vm_exit: &[ExitReason::Exception],
+    armed_by: &[],
     invariant: "Software interrupts cause EXCEPTION VM Exits",
 }];
 
@@ -122,7 +125,8 @@ impl InterceptEngine for IntSyscallEngine {
 static FAST_ROWS: [Table1Row; 1] = [Table1Row {
     category: "System call interception",
     guest_event: "Fast system call",
-    vm_exit: "WRMSR, EPT_VIOLATION",
+    vm_exit: &[ExitReason::Wrmsr, ExitReason::EptViolation],
+    armed_by: &[],
     invariant: "SYSENTER's target instruction is stored in an MSR register; \
                 write to MSR registers causes WRMSR VM Exit",
 }];
@@ -238,7 +242,7 @@ impl InterceptEngine for FastSyscallEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::machine_with;
+    use super::super::testutil::{events, machine_with};
     use super::*;
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::machine::GuestProgram;
@@ -288,9 +292,7 @@ mod tests {
     fn int80_decodes_number_and_args() {
         let mut m = machine_with(Box::new(IntSyscallEngine::new()));
         m.run_steps(&mut IntGuest { booted: false }, 3);
-        let syscalls: Vec<_> = m
-            .hypervisor()
-            .events
+        let syscalls: Vec<_> = events(&m)
             .iter()
             .filter_map(|(_, k)| match k {
                 EventKind::Syscall { gate, number, args } => Some((*gate, *number, *args)),
@@ -307,12 +309,10 @@ mod tests {
 
     #[test]
     fn custom_vector_set() {
-        let mut e = IntSyscallEngine::with_vectors(vec![0x42]);
         let mut m = machine_with(Box::new(IntSyscallEngine::with_vectors(vec![0x42])));
         // 0x80 is NOT trapped by this engine.
         m.run_steps(&mut IntGuest { booted: false }, 3);
-        assert!(m.hypervisor().events.is_empty());
-        let _ = &mut e;
+        assert!(events(&m).is_empty());
     }
 
     struct FastGuest {
@@ -344,9 +344,7 @@ mod tests {
     fn sysenter_is_intercepted_after_wrmsr_learning() {
         let mut m = machine_with(Box::new(FastSyscallEngine::new()));
         m.run_steps(&mut FastGuest { booted: false }, 4);
-        let syscalls: Vec<_> = m
-            .hypervisor()
-            .events
+        let syscalls: Vec<_> = events(&m)
             .iter()
             .filter_map(|(_, k)| match k {
                 EventKind::Syscall { gate: SyscallGate::Sysenter, number, .. } => Some(*number),
@@ -357,12 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn disable_unprotects_entry_page() {
+    fn uninstall_unprotects_entry_page() {
         let mut m = machine_with(Box::new(FastSyscallEngine::new()));
         m.run_steps(&mut FastGuest { booted: false }, 3);
         assert!(m.vm().ept.restricted_frames() > 0);
-        let (vm, hv) = m.parts_mut();
-        hv.engine.disable(vm);
+        let (vm, kvm) = m.parts_mut();
+        assert!(kvm.uninstall(vm, "fast-syscall"));
         assert_eq!(vm.ept.restricted_frames(), 0);
     }
 }

@@ -14,7 +14,7 @@ use super::{InterceptEngine, Table1Row};
 use crate::event::EventKind;
 use hypertap_hvsim::cpu::TSS_RSP0_OFFSET;
 use hypertap_hvsim::ept::{AccessKind, EptPerm};
-use hypertap_hvsim::exit::{ExitAction, VmExit, VmExitKind};
+use hypertap_hvsim::exit::{ExitAction, ExitReason, VmExit, VmExitKind};
 use hypertap_hvsim::machine::VmState;
 use hypertap_hvsim::mem::{Gfn, Gpa, Gva};
 use hypertap_hvsim::paging;
@@ -23,7 +23,9 @@ use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
 static ROWS: [Table1Row; 1] = [Table1Row {
     category: "Context switch interception",
     guest_event: "Thread switch",
-    vm_exit: "EPT_VIOLATION",
+    vm_exit: &[ExitReason::EptViolation],
+    // The TSS pages are protected on the first CR3 load.
+    armed_by: &[ExitReason::CrAccess],
     invariant: "The TR register always points to the TSS structure of the running process; \
                 TSS.RSP0 is unique for each thread",
 }];
@@ -91,10 +93,8 @@ impl InterceptEngine for ThreadSwitchEngine {
         &ROWS
     }
 
-    fn enable(&mut self, vm: &mut VmState) {
-        // Arming waits for the first CR3 load; the CR3 trap must therefore be
-        // on. (Co-installation with ProcessSwitchEngine is idempotent.)
-        vm.controls_mut().set_cr3_load_exiting(true);
+    fn enable(&mut self, _vm: &mut VmState) {
+        // Arming waits for the first CR3 load, which `armed_by` routes here.
     }
 
     fn disable(&mut self, vm: &mut VmState) {
@@ -175,11 +175,10 @@ impl InterceptEngine for ThreadSwitchEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::machine_with;
+    use super::super::testutil::{engine, events, machine_with};
     use super::*;
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::machine::GuestProgram;
-    use hypertap_hvsim::mem::PAGE_SIZE;
     use hypertap_hvsim::paging::{AddressSpaceBuilder, FrameAllocator};
     use hypertap_hvsim::vcpu::VcpuId;
 
@@ -228,9 +227,7 @@ mod tests {
         let mut m = machine_with(Box::new(ThreadSwitchEngine::new()));
         let mut g = ThreadSwitcher { booted: false, stacks: vec![0xA000, 0xB000], i: 0 };
         m.run_steps(&mut g, 4); // boot + 3 switches
-        let switches: Vec<u64> = m
-            .hypervisor()
-            .events
+        let switches: Vec<u64> = events(&m)
             .iter()
             .filter_map(|(_, k)| match k {
                 EventKind::ThreadSwitch { kernel_stack } => Some(*kernel_stack),
@@ -255,11 +252,7 @@ mod tests {
             }
         }
         m.run_steps(&mut OtherWrite, 1);
-        assert!(m
-            .hypervisor()
-            .events
-            .iter()
-            .all(|(_, k)| !matches!(k, EventKind::ThreadSwitch { .. })));
+        assert!(events(&m).iter().all(|(_, k)| !matches!(k, EventKind::ThreadSwitch { .. })));
         // But the write itself was emulated and landed.
         let (vm, _) = m.parts_mut();
         let vcpu0_cr3 = vm.vcpu(VcpuId(0)).cr3();
@@ -268,22 +261,27 @@ mod tests {
     }
 
     #[test]
-    fn disable_restores_permissions() {
+    fn uninstall_restores_permissions() {
         let mut m = machine_with(Box::new(ThreadSwitchEngine::new()));
         let mut g = ThreadSwitcher { booted: false, stacks: vec![0xA000], i: 0 };
         m.run_steps(&mut g, 1);
         assert!(m.vm().ept.restricted_frames() > 0);
-        let (vm, hv) = m.parts_mut();
-        hv.engine.disable(vm);
+        let (vm, kvm) = m.parts_mut();
+        assert!(kvm.uninstall(vm, "thread-switch"));
         assert_eq!(vm.ept.restricted_frames(), 0);
+        assert!(!vm.controls().cr3_load_exiting(), "no installed engine routes CR_ACCESS");
     }
 
     #[test]
     fn arming_waits_for_first_cr3() {
-        let m = machine_with(Box::new(ThreadSwitchEngine::new()));
-        // No guest ran: controls set but nothing protected.
+        let mut m = machine_with(Box::new(ThreadSwitchEngine::new()));
+        // No guest ran: CR3 loads exit (the engine is armed by them) but
+        // nothing is protected yet.
         assert!(m.vm().controls().cr3_load_exiting());
         assert_eq!(m.vm().ept.restricted_frames(), 0);
-        let _ = PAGE_SIZE;
+        assert!(!engine::<ThreadSwitchEngine>(&mut m).is_armed());
+        let mut g = ThreadSwitcher { booted: false, stacks: vec![0xA000], i: 0 };
+        m.run_steps(&mut g, 1);
+        assert!(engine::<ThreadSwitchEngine>(&mut m).is_armed());
     }
 }

@@ -8,7 +8,7 @@
 
 use super::{InterceptEngine, Table1Row};
 use crate::event::EventKind;
-use hypertap_hvsim::exit::{ExitAction, VmExit, VmExitKind};
+use hypertap_hvsim::exit::{ExitAction, ExitReason, VmExit, VmExitKind};
 use hypertap_hvsim::machine::VmState;
 use hypertap_hvsim::mem::Gva;
 use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
@@ -17,7 +17,8 @@ use hypertap_hvsim::vcpu::VcpuId;
 static ROWS: [Table1Row; 1] = [Table1Row {
     category: "Context switch interception",
     guest_event: "TSS relocation (integrity)",
-    vm_exit: "(checked on every VM Exit)",
+    vm_exit: &ExitReason::ALL,
+    armed_by: &[],
     invariant: "The TR register saved in the VMCS must match the value recorded at guest boot",
 }];
 
@@ -54,8 +55,6 @@ impl InterceptEngine for TssIntegrityEngine {
     }
 
     fn enable(&mut self, vm: &mut VmState) {
-        // Needs the first-CR3 trigger, like the thread-switch engine.
-        vm.controls_mut().set_cr3_load_exiting(true);
         self.saved_tr = vec![None; vm.vcpu_count()];
         self.alerted = vec![false; vm.vcpu_count()];
     }
@@ -82,9 +81,6 @@ impl InterceptEngine for TssIntegrityEngine {
                         self.saved_tr[i] = Some(tr);
                     }
                 }
-            }
-            if !armed {
-                return ExitAction::Resume;
             }
         }
         if !armed {
@@ -133,7 +129,7 @@ impl InterceptEngine for TssIntegrityEngine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::machine_with;
+    use super::super::testutil::{engine, events, machine_with};
     use super::*;
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::machine::GuestProgram;
@@ -177,9 +173,7 @@ mod tests {
             i: 0,
         };
         m.run_steps(&mut g, 4);
-        let alerts: Vec<_> = m
-            .hypervisor()
-            .events
+        let alerts: Vec<_> = events(&m)
             .iter()
             .filter(|(_, k)| matches!(k, EventKind::TssRelocated { .. }))
             .collect();
@@ -208,11 +202,7 @@ mod tests {
             i: 0,
         };
         m.run_steps(&mut g, 3);
-        assert!(m
-            .hypervisor()
-            .events
-            .iter()
-            .all(|(_, k)| !matches!(k, EventKind::TssRelocated { .. })));
+        assert!(events(&m).iter().all(|(_, k)| !matches!(k, EventKind::TssRelocated { .. })));
     }
 
     #[test]
@@ -226,8 +216,8 @@ mod tests {
             i: 0,
         };
         m.run_steps(&mut g, 1);
-        // Downcast through the test harness: the engine is behind a Box.
-        let hv = m.hypervisor();
-        let _ = hv; // saved_tr checked indirectly via behaviour in other tests
+        let e = engine::<TssIntegrityEngine>(&mut m);
+        assert_eq!(e.saved_tr(VcpuId(0)), Some(Gva::new(0x1000)));
+        assert_eq!(e.saved_tr(VcpuId(1)), None, "vCPU 1 never loaded TR");
     }
 }

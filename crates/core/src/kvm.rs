@@ -4,22 +4,30 @@
 //! an Event Forwarder (EF) hooked into the VM-exit dispatch path that ships
 //! each exit (plus relevant guest state) to the Event Multiplexer. [`Kvm`]
 //! plays that role here: it implements [`Hypervisor`] for the simulator,
-//! routes every exit through the installed interception engines, wraps the
-//! decoded events with the trusted state snapshot, and forwards them to its
-//! embedded [`EventMultiplexer`].
+//! hands each exit to the installed interception engines whose Table I rows
+//! name its reason, wraps the decoded events with the trusted state
+//! snapshot, and forwards them to its embedded [`EventMultiplexer`].
+//!
+//! Table I is the dispatch table: [`Kvm::install`] and [`Kvm::uninstall`]
+//! rebuild one engine list per [`ExitReason`] from the engines'
+//! [`InterceptEngine::table1_rows`], and set CR3-load exiting on exactly
+//! while some installed engine's rows name `CR_ACCESS`.
 
 use crate::em::EventMultiplexer;
 use crate::event::{Event, VmId};
 use crate::intercept::{InterceptEngine, Table1Row};
 use crate::metrics::{MetricsRegistry, Spans};
 use hypertap_hvsim::clock::SimTime;
-use hypertap_hvsim::exit::{ExitAction, VmExit};
+use hypertap_hvsim::exit::{ExitAction, ExitReason, VmExit};
 use hypertap_hvsim::machine::{Hypervisor, TimerId, VmState};
 use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
 
 /// The hypervisor: exit dispatch + Event Forwarder + Event Multiplexer.
 pub struct Kvm {
     engines: Vec<Box<dyn InterceptEngine>>,
+    /// Per exit reason, the indices into `engines` of the engines whose
+    /// Table I rows name it (`vm_exit` ∪ `armed_by`), in install order.
+    routes: [Vec<usize>; ExitReason::ALL.len()],
     /// The Event Multiplexer — register auditors and attach observers
     /// (trace recorders, audit containers) here.
     pub em: EventMultiplexer,
@@ -55,6 +63,7 @@ impl Kvm {
     pub fn new() -> Self {
         Kvm {
             engines: Vec::new(),
+            routes: Default::default(),
             em: EventMultiplexer::new(),
             vm_id: VmId(0),
             forwarded_events: 0,
@@ -96,22 +105,41 @@ impl Kvm {
         self.vm_id
     }
 
-    /// Installs and enables an interception engine.
+    /// Installs and enables an interception engine, routing it the exits
+    /// its Table I rows name.
     pub fn install(&mut self, vm: &mut VmState, mut engine: Box<dyn InterceptEngine>) {
         engine.enable(vm);
         self.engines.push(engine);
+        self.reroute(vm);
     }
 
     /// Disables and removes the engine with the given name. Returns whether
     /// it was found.
     pub fn uninstall(&mut self, vm: &mut VmState, name: &str) -> bool {
-        if let Some(pos) = self.engines.iter().position(|e| e.name() == name) {
-            let mut engine = self.engines.remove(pos);
-            engine.disable(vm);
-            true
-        } else {
-            false
+        let Some(pos) = self.engines.iter().position(|e| e.name() == name) else {
+            return false;
+        };
+        self.engines.remove(pos).disable(vm);
+        self.reroute(vm);
+        true
+    }
+
+    /// Rebuilds the per-reason routes from the installed engines' Table I
+    /// rows, and makes CR3 loads exit exactly when some engine is routed
+    /// `CR_ACCESS`.
+    fn reroute(&mut self, vm: &mut VmState) {
+        for (reason, route) in ExitReason::ALL.into_iter().zip(&mut self.routes) {
+            route.clear();
+            for (i, engine) in self.engines.iter().enumerate() {
+                let rows = engine.table1_rows();
+                if rows.iter().any(|r| r.vm_exit.contains(&reason) || r.armed_by.contains(&reason))
+                {
+                    route.push(i);
+                }
+            }
         }
+        let cr3 = !self.routes[ExitReason::CrAccess as usize].is_empty();
+        vm.controls_mut().set_cr3_load_exiting(cr3);
     }
 
     /// Names of the installed engines.
@@ -144,8 +172,9 @@ impl Kvm {
     /// (framed by name, in install order), and the embedded Event
     /// Multiplexer.
     ///
-    /// Not captured: the wall-clock span probes (host instrumentation) and
-    /// the per-exit event buffer (refilled from scratch on every exit).
+    /// Not captured: the wall-clock span probes (host instrumentation), the
+    /// per-exit event buffer (refilled from scratch on every exit) and the
+    /// routes (rebuilt by installing the recipe's engines).
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.varint(u64::from(self.vm_id.0));
         w.varint(self.forwarded_events);
@@ -199,10 +228,10 @@ impl Hypervisor for Kvm {
         // One branch decides all span work for this exit; with spans off
         // neither stage reads the host clock at all.
         let spans_on = self.spans.is_enabled();
-        // 1. Logging phase: every engine inspects the exit and its decoded
-        //    events are wrapped, in install order, straight into the
-        //    reusable per-exit buffer. This is the blocking part of the
-        //    pipeline, shared by all monitors.
+        // 1. Logging phase: the engines routed this exit's reason inspect
+        //    it, and their decoded events are wrapped, in install order,
+        //    straight into the reusable per-exit buffer. This is the
+        //    blocking part of the pipeline, shared by all monitors.
         let decode_started = if spans_on { self.spans.start() } else { None };
         self.events.clear();
         let (vm_id, events) = (self.vm_id, &mut self.events);
@@ -215,8 +244,8 @@ impl Hypervisor for Kvm {
                 state: exit.state,
             })
         };
-        for engine in &mut self.engines {
-            if engine.on_exit(vm, exit, &mut emit) == ExitAction::Suppress {
+        for &i in &self.routes[exit.kind.reason() as usize] {
+            if self.engines[i].on_exit(vm, exit, &mut emit) == ExitAction::Suppress {
                 action = ExitAction::Suppress;
             }
         }
@@ -257,7 +286,10 @@ mod tests {
     use super::*;
     use crate::audit::{Auditor, CountingAuditor, FindingSink};
     use crate::event::{EventKind, EventMask, EventRef};
-    use crate::intercept::{IntSyscallEngine, IoEngine, ProcessSwitchEngine};
+    use crate::intercept::{
+        FastSyscallEngine, FineGrainedEngine, IntSyscallEngine, IoEngine, ProcessSwitchEngine,
+        ThreadSwitchEngine, TssIntegrityEngine,
+    };
     use hypertap_hvsim::cpu::{CpuCtx, StepOutcome};
     use hypertap_hvsim::machine::{GuestProgram, Machine, VmConfig};
     use hypertap_hvsim::mem::Gpa;
@@ -295,6 +327,101 @@ mod tests {
     }
 
     #[test]
+    fn uninstalling_one_cr3_engine_keeps_cr3_exiting_for_the_others() {
+        let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
+        let (vm, kvm) = m.parts_mut();
+        kvm.install(vm, Box::new(ProcessSwitchEngine::new()));
+        kvm.install(vm, Box::new(ThreadSwitchEngine::new()));
+        kvm.install(vm, Box::new(TssIntegrityEngine::new()));
+        assert!(kvm.uninstall(vm, "process-switch"));
+        assert!(vm.controls().cr3_load_exiting(), "thread-switch and tss-integrity need it");
+        assert!(kvm.uninstall(vm, "thread-switch"));
+        assert!(vm.controls().cr3_load_exiting(), "tss-integrity checks every exit");
+        assert!(kvm.uninstall(vm, "tss-integrity"));
+        assert!(!vm.controls().cr3_load_exiting(), "no engine is left to route CR_ACCESS");
+        kvm.install(vm, Box::new(IoEngine::new()));
+        assert!(!vm.controls().cr3_load_exiting(), "the I/O rows do not name CR_ACCESS");
+    }
+
+    /// The reasons `kvm` routes to at least one engine.
+    fn routed(kvm: &Kvm) -> Vec<ExitReason> {
+        ExitReason::ALL.into_iter().filter(|r| !kvm.routes[*r as usize].is_empty()).collect()
+    }
+
+    #[test]
+    fn each_engine_is_routed_its_table1_reasons() {
+        use ExitReason::*;
+        let cases: [(Box<dyn InterceptEngine>, &[ExitReason]); 7] = [
+            (Box::new(ProcessSwitchEngine::new()), &[CrAccess]),
+            (Box::new(ThreadSwitchEngine::new()), &[CrAccess, EptViolation]),
+            (Box::new(TssIntegrityEngine::new()), &ExitReason::ALL),
+            (Box::new(IntSyscallEngine::new()), &[Exception]),
+            (Box::new(FastSyscallEngine::new()), &[EptViolation, Wrmsr]),
+            (Box::new(IoEngine::new()), &[EptViolation, IoInst, ExternalInt, ApicAccess]),
+            (Box::new(FineGrainedEngine::new()), &[EptViolation]),
+        ];
+        for (engine, want) in cases {
+            let name = engine.name();
+            let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
+            let (vm, kvm) = m.parts_mut();
+            kvm.install(vm, engine);
+            assert_eq!(routed(kvm), want, "{name}");
+            assert_eq!(vm.controls().cr3_load_exiting(), want.contains(&CrAccess), "{name}");
+        }
+    }
+
+    #[test]
+    fn routes_list_engines_once_in_install_order() {
+        let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
+        let (vm, kvm) = m.parts_mut();
+        kvm.install(vm, Box::new(FineGrainedEngine::new()));
+        kvm.install(vm, Box::new(ProcessSwitchEngine::new()));
+        kvm.install(vm, Box::new(IoEngine::new()));
+        kvm.install(vm, Box::new(ThreadSwitchEngine::new()));
+        // Fine-grained names EPT_VIOLATION twice; I/O names it once among four.
+        assert_eq!(kvm.routes[ExitReason::EptViolation as usize], [0, 2, 3]);
+        assert_eq!(kvm.routes[ExitReason::CrAccess as usize], [1, 3]);
+        assert!(kvm.uninstall(vm, "process-switch"));
+        assert_eq!(kvm.routes[ExitReason::EptViolation as usize], [0, 1, 2]);
+        assert_eq!(kvm.routes[ExitReason::CrAccess as usize], [2]);
+        assert!(kvm.routes[ExitReason::Hlt as usize].is_empty());
+    }
+
+    /// Table I as the `table1` binary prints it (category, guest event,
+    /// VM Exit column) for the six engines it installs.
+    #[test]
+    fn table1_rows_render_the_papers_table() {
+        let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
+        let (vm, kvm) = m.parts_mut();
+        kvm.install(vm, Box::new(ProcessSwitchEngine::new()));
+        kvm.install(vm, Box::new(ThreadSwitchEngine::new()));
+        kvm.install(vm, Box::new(IntSyscallEngine::new()));
+        kvm.install(vm, Box::new(FastSyscallEngine::new()));
+        kvm.install(vm, Box::new(IoEngine::new()));
+        kvm.install(vm, Box::new(FineGrainedEngine::new()));
+        let rendered: Vec<_> =
+            kvm.table1().iter().map(|r| (r.category, r.guest_event, r.vm_exit_column())).collect();
+        let want = [
+            ("Context switch interception", "Process context switch", "CR_ACCESS"),
+            ("Context switch interception", "Thread switch", "EPT_VIOLATION"),
+            ("System call interception", "Interrupt-based system call", "EXCEPTION"),
+            ("System call interception", "Fast system call", "WRMSR, EPT_VIOLATION"),
+            ("I/O access interception", "Programmed I/O", "IO_INST"),
+            ("I/O access interception", "Memory mapped I/O", "EPT_VIOLATION"),
+            ("I/O access interception", "Hardware interrupt", "EXTERNAL_INT"),
+            ("I/O access interception", "I/O APIC access", "APIC_ACCESS"),
+            ("Low-level interception", "Memory access", "EPT_VIOLATION"),
+            ("Low-level interception", "Instruction execution", "EPT_VIOLATION"),
+        ];
+        assert_eq!(rendered.len(), want.len());
+        for (got, want) in rendered.iter().zip(want) {
+            assert_eq!((got.0, got.1, got.2.as_str()), want);
+        }
+        let tss = TssIntegrityEngine::new().table1_rows()[0];
+        assert_eq!(tss.vm_exit_column(), "(checked on every VM Exit)");
+    }
+
+    #[test]
     fn table1_aggregates_engine_rows() {
         let mut m = Machine::new(VmConfig::new(1, 1 << 20), Kvm::new());
         let (vm, kvm) = m.parts_mut();
@@ -303,7 +430,7 @@ mod tests {
         kvm.install(vm, Box::new(IoEngine::new()));
         let rows = kvm.table1();
         assert_eq!(rows.len(), 1 + 1 + 4);
-        assert!(rows.iter().any(|r| r.vm_exit == "CR_ACCESS"));
+        assert!(rows.iter().any(|r| r.vm_exit == [ExitReason::CrAccess]));
         assert!(rows.iter().any(|r| r.guest_event == "Programmed I/O"));
     }
 
@@ -339,15 +466,21 @@ mod tests {
         m
     }
 
-    /// Decodes one marker event from every exit it is shown, so an exit
-    /// another engine also decodes yields two events.
+    /// Decodes one marker event from every CR_ACCESS exit it is shown, so
+    /// an exit another engine also decodes yields two events.
     struct Marker;
     impl InterceptEngine for Marker {
         fn name(&self) -> &'static str {
             "marker"
         }
         fn table1_rows(&self) -> &'static [Table1Row] {
-            &[]
+            &[Table1Row {
+                category: "Test",
+                guest_event: "Marker",
+                vm_exit: &[ExitReason::CrAccess],
+                armed_by: &[],
+                invariant: "None",
+            }]
         }
         fn enable(&mut self, _vm: &mut VmState) {}
         fn disable(&mut self, _vm: &mut VmState) {}

@@ -17,6 +17,7 @@ use hypertap_core::prelude::*;
 use hypertap_guestos::program::{FnProgram, UserOp, UserView};
 use hypertap_guestos::syscalls::Sysno;
 use hypertap_hvsim::clock::Duration;
+use hypertap_hvsim::exit::ExitReason;
 use hypertap_monitors::goshd::GoshdConfig;
 use hypertap_monitors::harness::TapVm;
 
@@ -117,7 +118,7 @@ fn guest_syscall_path_is_allocation_free_in_steady_state() {
     assert!(fd_room(&vm) >= 400, "the workers' fd tables never made room");
 
     let syscalls_before = vm.kernel.stats().syscalls;
-    let cr3_loads_before = vm.machine.vm().stats().count_by_name("CR_ACCESS");
+    let cr3_loads_before = vm.machine.vm().stats().count(ExitReason::CrAccess);
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
     vm.run_for(Duration::from_millis(50));
@@ -125,7 +126,7 @@ fn guest_syscall_path_is_allocation_free_in_steady_state() {
     let allocs = ALLOCS.load(Ordering::SeqCst);
 
     let syscalls = vm.kernel.stats().syscalls - syscalls_before;
-    let cr3_loads = vm.machine.vm().stats().count_by_name("CR_ACCESS") - cr3_loads_before;
+    let cr3_loads = vm.machine.vm().stats().count(ExitReason::CrAccess) - cr3_loads_before;
     assert!(syscalls >= 1000, "only {syscalls} syscalls in the audited window");
     assert!(cr3_loads > 0, "the audited window must include address-space switches");
     assert_eq!(allocs, 0, "{allocs} allocations over {syscalls} syscalls in steady state");

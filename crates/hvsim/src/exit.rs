@@ -88,68 +88,89 @@ pub enum VmExitKind {
     Hlt,
 }
 
-impl VmExitKind {
-    /// The coarse exit-reason name, as the paper's Table I spells them.
-    pub fn reason_name(&self) -> &'static str {
-        match self {
-            VmExitKind::CrAccess { .. } => "CR_ACCESS",
-            VmExitKind::EptViolation(_) => "EPT_VIOLATION",
-            VmExitKind::Wrmsr { .. } => "WRMSR",
-            VmExitKind::Exception { .. } => "EXCEPTION",
-            VmExitKind::IoInst { .. } => "IO_INST",
-            VmExitKind::ExternalInterrupt { .. } => "EXTERNAL_INT",
-            VmExitKind::ApicAccess { .. } => "APIC_ACCESS",
-            VmExitKind::Hlt => "HLT",
-        }
-    }
+/// The coarse reason of a VM Exit: one per [`VmExitKind`] variant, spelled
+/// as the paper's Table I names them. The discriminant is the reason's
+/// index in [`ExitReason::ALL`], so per-reason tables ([`ExitStats`]
+/// counts, the hypervisor's exit routes) index by `reason as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ExitReason {
+    /// [`VmExitKind::CrAccess`].
+    CrAccess,
+    /// [`VmExitKind::EptViolation`].
+    EptViolation,
+    /// [`VmExitKind::Wrmsr`].
+    Wrmsr,
+    /// [`VmExitKind::Exception`].
+    Exception,
+    /// [`VmExitKind::IoInst`].
+    IoInst,
+    /// [`VmExitKind::ExternalInterrupt`].
+    ExternalInt,
+    /// [`VmExitKind::ApicAccess`].
+    ApicAccess,
+    /// [`VmExitKind::Hlt`].
+    Hlt,
+}
 
-    /// A small dense index for statistics arrays.
-    pub(crate) fn stat_slot(&self) -> usize {
-        match self {
-            VmExitKind::CrAccess { .. } => 0,
-            VmExitKind::EptViolation(_) => 1,
-            VmExitKind::Wrmsr { .. } => 2,
-            VmExitKind::Exception { .. } => 3,
-            VmExitKind::IoInst { .. } => 4,
-            VmExitKind::ExternalInterrupt { .. } => 5,
-            VmExitKind::ApicAccess { .. } => 6,
-            VmExitKind::Hlt => 7,
-        }
-    }
-
-    /// Number of distinct statistic slots.
-    pub(crate) const SLOTS: usize = 8;
-
-    /// Names corresponding to each slot, for reports.
-    pub const SLOT_NAMES: [&'static str; 8] = [
-        "CR_ACCESS",
-        "EPT_VIOLATION",
-        "WRMSR",
-        "EXCEPTION",
-        "IO_INST",
-        "EXTERNAL_INT",
-        "APIC_ACCESS",
-        "HLT",
+impl ExitReason {
+    /// Every reason, in discriminant order. Reports list reasons in this
+    /// order.
+    pub const ALL: [ExitReason; 8] = [
+        ExitReason::CrAccess,
+        ExitReason::EptViolation,
+        ExitReason::Wrmsr,
+        ExitReason::Exception,
+        ExitReason::IoInst,
+        ExitReason::ExternalInt,
+        ExitReason::ApicAccess,
+        ExitReason::Hlt,
     ];
+
+    /// The reason's name, as the paper's Table I spells it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExitReason::CrAccess => "CR_ACCESS",
+            ExitReason::EptViolation => "EPT_VIOLATION",
+            ExitReason::Wrmsr => "WRMSR",
+            ExitReason::Exception => "EXCEPTION",
+            ExitReason::IoInst => "IO_INST",
+            ExitReason::ExternalInt => "EXTERNAL_INT",
+            ExitReason::ApicAccess => "APIC_ACCESS",
+            ExitReason::Hlt => "HLT",
+        }
+    }
+}
+
+impl VmExitKind {
+    /// The exit's coarse reason.
+    pub fn reason(&self) -> ExitReason {
+        match self {
+            VmExitKind::CrAccess { .. } => ExitReason::CrAccess,
+            VmExitKind::EptViolation(_) => ExitReason::EptViolation,
+            VmExitKind::Wrmsr { .. } => ExitReason::Wrmsr,
+            VmExitKind::Exception { .. } => ExitReason::Exception,
+            VmExitKind::IoInst { .. } => ExitReason::IoInst,
+            VmExitKind::ExternalInterrupt { .. } => ExitReason::ExternalInt,
+            VmExitKind::ApicAccess { .. } => ExitReason::ApicAccess,
+            VmExitKind::Hlt => ExitReason::Hlt,
+        }
+    }
 }
 
 impl fmt::Display for VmExitKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.reason().name();
         match self {
-            VmExitKind::CrAccess { cr, value } => write!(f, "CR_ACCESS cr{cr} <- {value:#x}"),
-            VmExitKind::EptViolation(v) => {
-                write!(f, "EPT_VIOLATION {} at {}", v.access, v.gpa)
-            }
-            VmExitKind::Wrmsr { msr, value } => write!(f, "WRMSR {msr} <- {value:#x}"),
-            VmExitKind::Exception { vector, .. } => write!(f, "EXCEPTION vector {vector:#x}"),
+            VmExitKind::CrAccess { cr, value } => write!(f, "{name} cr{cr} <- {value:#x}"),
+            VmExitKind::EptViolation(v) => write!(f, "{name} {} at {}", v.access, v.gpa),
+            VmExitKind::Wrmsr { msr, value } => write!(f, "{name} {msr} <- {value:#x}"),
+            VmExitKind::Exception { vector, .. } => write!(f, "{name} vector {vector:#x}"),
             VmExitKind::IoInst { port, write, .. } => {
-                write!(f, "IO_INST port {port:#x} {}", if *write { "out" } else { "in" })
+                write!(f, "{name} port {port:#x} {}", if *write { "out" } else { "in" })
             }
-            VmExitKind::ExternalInterrupt { vector } => {
-                write!(f, "EXTERNAL_INT vector {vector:#x}")
-            }
-            VmExitKind::ApicAccess { offset, .. } => write!(f, "APIC_ACCESS offset {offset:#x}"),
-            VmExitKind::Hlt => f.write_str("HLT"),
+            VmExitKind::ExternalInterrupt { vector } => write!(f, "{name} vector {vector:#x}"),
+            VmExitKind::ApicAccess { offset, .. } => write!(f, "{name} offset {offset:#x}"),
+            VmExitKind::Hlt => f.write_str(name),
         }
     }
 }
@@ -324,12 +345,12 @@ fn msr_slot(msr: Msr) -> usize {
     Msr::ALL.iter().position(|m| *m == msr).expect("all MSRs present")
 }
 
-/// Running statistics over VM Exits: counts per reason and the cumulative
-/// world-switch overhead charged to the guest. The Fig. 7 performance
-/// experiments read these.
+/// Running statistics over VM Exits: counts per [`ExitReason`] and the
+/// cumulative world-switch overhead charged to the guest. The Fig. 7
+/// performance experiments read these.
 #[derive(Debug, Clone, Default)]
 pub struct ExitStats {
-    counts: [u64; VmExitKind::SLOTS],
+    counts: [u64; ExitReason::ALL.len()],
     overhead: Duration,
 }
 
@@ -340,14 +361,13 @@ impl ExitStats {
     }
 
     pub(crate) fn record(&mut self, kind: &VmExitKind, cost: Duration) {
-        self.counts[kind.stat_slot()] += 1;
+        self.counts[kind.reason() as usize] += 1;
         self.overhead += cost;
     }
 
-    /// Number of exits whose reason matches `name` (one of
-    /// [`VmExitKind::SLOT_NAMES`]).
-    pub fn count_by_name(&self, name: &str) -> u64 {
-        VmExitKind::SLOT_NAMES.iter().position(|n| *n == name).map(|i| self.counts[i]).unwrap_or(0)
+    /// Number of exits with the given reason.
+    pub fn count(&self, reason: ExitReason) -> u64 {
+        self.counts[reason as usize]
     }
 
     /// Total number of exits of all kinds.
@@ -377,13 +397,15 @@ impl ExitStats {
         Ok(())
     }
 
-    /// Iterates `(reason name, count)` pairs for non-zero reasons.
+    /// Iterates `(reason name, count)` pairs for non-zero reasons, in
+    /// [`ExitReason::ALL`] order. Metric labels and the benchmark's digest
+    /// are built from these names in this order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        VmExitKind::SLOT_NAMES
-            .iter()
-            .zip(self.counts.iter())
-            .filter(|(_, &c)| c > 0)
-            .map(|(n, &c)| (*n, c))
+        ExitReason::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|(_, c)| *c > 0)
+            .map(|(r, c)| (r.name(), c))
     }
 }
 
@@ -437,9 +459,9 @@ mod tests {
         s.record(&VmExitKind::Hlt, Duration::from_nanos(100));
         s.record(&VmExitKind::CrAccess { cr: 3, value: 0x1000 }, Duration::from_nanos(200));
         s.record(&VmExitKind::CrAccess { cr: 3, value: 0x2000 }, Duration::from_nanos(200));
-        assert_eq!(s.count_by_name("CR_ACCESS"), 2);
-        assert_eq!(s.count_by_name("HLT"), 1);
-        assert_eq!(s.count_by_name("WRMSR"), 0);
+        assert_eq!(s.count(ExitReason::CrAccess), 2);
+        assert_eq!(s.count(ExitReason::Hlt), 1);
+        assert_eq!(s.count(ExitReason::Wrmsr), 0);
         assert_eq!(s.total(), 3);
         assert_eq!(s.overhead().as_nanos(), 500);
         let pairs: Vec<_> = s.iter().collect();
@@ -447,23 +469,47 @@ mod tests {
     }
 
     #[test]
-    fn reason_names_match_table1_vocabulary() {
-        assert_eq!(VmExitKind::CrAccess { cr: 3, value: 0 }.reason_name(), "CR_ACCESS");
+    fn reason_names_and_order_are_pinned() {
+        // Metric labels and the benchmark's digest hash these strings in
+        // this order.
+        let names: Vec<_> = ExitReason::ALL.iter().map(|r| r.name()).collect();
         assert_eq!(
-            VmExitKind::EptViolation(EptViolation {
-                gpa: Gpa::new(0),
-                gva: None,
-                access: AccessKind::Write,
-                value: None,
-            })
-            .reason_name(),
-            "EPT_VIOLATION"
+            names,
+            [
+                "CR_ACCESS",
+                "EPT_VIOLATION",
+                "WRMSR",
+                "EXCEPTION",
+                "IO_INST",
+                "EXTERNAL_INT",
+                "APIC_ACCESS",
+                "HLT",
+            ]
         );
-        assert_eq!(
-            VmExitKind::Exception { vector: 0x80, ex_type: ExceptionType::SoftwareInterrupt }
-                .reason_name(),
-            "EXCEPTION"
-        );
+        for (i, r) in ExitReason::ALL.into_iter().enumerate() {
+            assert_eq!(r as usize, i, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn every_kind_maps_to_its_reason() {
+        let violation =
+            EptViolation { gpa: Gpa::new(0), gva: None, access: AccessKind::Write, value: None };
+        let kinds = [
+            VmExitKind::CrAccess { cr: 3, value: 0 },
+            VmExitKind::EptViolation(violation),
+            VmExitKind::Wrmsr { msr: Msr::SysenterEip, value: 0 },
+            VmExitKind::Exception { vector: 0x80, ex_type: ExceptionType::SoftwareInterrupt },
+            VmExitKind::IoInst { port: 0x3f8, write: true, value: 0 },
+            VmExitKind::ExternalInterrupt { vector: 0x20 },
+            VmExitKind::ApicAccess { offset: 0xb0, write: true, value: 0 },
+            VmExitKind::Hlt,
+        ];
+        let reasons: Vec<_> = kinds.iter().map(VmExitKind::reason).collect();
+        assert_eq!(reasons, ExitReason::ALL);
+        for kind in kinds {
+            assert!(kind.to_string().starts_with(kind.reason().name()), "{kind}");
+        }
     }
 
     #[test]

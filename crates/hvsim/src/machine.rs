@@ -672,7 +672,7 @@ impl<H: Hypervisor> Machine<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exit::VmExitKind;
+    use crate::exit::{ExitReason, VmExitKind};
     use crate::mem::Gpa;
 
     /// Hypervisor that records exits and timer firings.
@@ -840,6 +840,6 @@ mod tests {
         m2.run_steps(&mut Cr3Writer, 1);
         assert!(m2.vm().now() > quiet);
         assert_eq!(m2.hypervisor().exits.len(), 1);
-        assert_eq!(m2.vm().stats().count_by_name("CR_ACCESS"), 1);
+        assert_eq!(m2.vm().stats().count(ExitReason::CrAccess), 1);
     }
 }

@@ -422,6 +422,35 @@ mod tests {
     }
 
     #[test]
+    fn uninstalling_process_switch_leaves_thread_switch_working() {
+        let mut vm = TapVm::builder().engines(EngineSelection::context_switch_only()).build();
+        let (state, kvm) = vm.machine.parts_mut();
+        assert!(kvm.uninstall(state, "process-switch"));
+        vm.run_for(Duration::from_millis(200));
+        assert!(vm.machine.vm().controls().cr3_load_exiting(), "thread-switch still needs CR3");
+        let thread = vm.machine.hypervisor_mut().engine_mut("thread-switch").unwrap();
+        let thread = thread.as_any_mut().downcast_mut::<ThreadSwitchEngine>().unwrap();
+        assert!(thread.is_armed(), "the first CR3 load must still reach thread-switch");
+    }
+
+    #[test]
+    fn every_recipe_keeps_its_cr3_exit_control() {
+        // These values are captured in `.htsp` snapshots of each recipe.
+        let mut ninja = EngineSelection::context_switch_only();
+        ninja.int_syscall = true;
+        ninja.fast_syscall = true;
+        for (sel, cr3) in [
+            (EngineSelection::all(), true),
+            (EngineSelection::context_switch_only(), true),
+            (ninja, true),
+            (EngineSelection::none(), false),
+        ] {
+            let vm = TapVm::builder().engines(sel).build();
+            assert_eq!(vm.machine.vm().controls().cr3_load_exiting(), cr3, "{sel:?}");
+        }
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "run_for(Duration::ZERO) is a no-op")]
     fn run_for_zero_is_flagged_in_debug() {

@@ -9,6 +9,7 @@ use hypertap::harness::{EngineSelection, TapVm};
 use hypertap::prelude::*;
 use hypertap_guestos::program::UserView;
 use hypertap_hvsim::clock::Duration;
+use hypertap_hvsim::exit::ExitReason;
 
 /// Booting the default guest produces the expected event mix: process
 /// switches (CR3), thread switches (TSS writes), syscalls (SYSENTER), I/O.
@@ -26,11 +27,11 @@ fn boot_produces_all_event_classes() {
 
     assert!(vm.kernel.is_booted());
     let stats = vm.machine.vm().stats();
-    assert!(stats.count_by_name("CR_ACCESS") > 0, "process switches");
-    assert!(stats.count_by_name("EPT_VIOLATION") > 0, "TSS writes + sysenter");
-    assert!(stats.count_by_name("IO_INST") > 0, "disk port I/O");
-    assert!(stats.count_by_name("EXTERNAL_INT") > 0, "timer ticks");
-    assert!(stats.count_by_name("WRMSR") > 0, "sysenter MSR setup");
+    assert!(stats.count(ExitReason::CrAccess) > 0, "process switches");
+    assert!(stats.count(ExitReason::EptViolation) > 0, "TSS writes + sysenter");
+    assert!(stats.count(ExitReason::IoInst) > 0, "disk port I/O");
+    assert!(stats.count(ExitReason::ExternalInt) > 0, "timer ticks");
+    assert!(stats.count(ExitReason::Wrmsr) > 0, "sysenter MSR setup");
     assert!(vm.machine.hypervisor().forwarded_events() > 0);
 }
 
