@@ -20,7 +20,11 @@ use hypertap_faultinject::spec::Workload;
 use std::io::Write as _;
 
 fn main() {
-    let args = Args::parse();
+    let args =
+        Args::parse_known(&["stride", "seed", "threads", "save", "quick"]).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        });
     let mut cfg = default_campaign(args.get("stride", 16));
     cfg.seed = args.get("seed", 42);
     cfg.threads = args.get("threads", 0);

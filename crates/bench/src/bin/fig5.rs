@@ -17,7 +17,11 @@ use hypertap_faultinject::spec::{TrialResult, Workload};
 use std::io::BufRead as _;
 
 fn main() {
-    let args = Args::parse();
+    let args =
+        Args::parse_known(&["load", "stride", "seed", "threads", "quick"]).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        });
     let results: Vec<TrialResult> = if let Some(path) = args.get_str("load") {
         let f = std::fs::File::open(path).expect("open results file");
         std::io::BufReader::new(f)

@@ -57,7 +57,19 @@ fn demo_dump() -> Vec<u8> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "in",
+        "export-chrome",
+        "demo",
+        "out",
+        "follow",
+        "follow-ms",
+        "poll-ms",
+    ])
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     if let Some(dir) = args.get_str("follow") {
         // Tail the directory until --follow-ms elapses (0 = forever).
         let limit_ms: u64 = args.get("follow-ms", 0);

@@ -21,7 +21,10 @@ use hypertap_bench::report::{bar, pct, table};
 use hypertap_hvsim::clock::Duration;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&["trials", "seed"]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let trials: usize = args.get("trials", 60);
     let seed: u64 = args.get("seed", 7);
     println!("The Three Ninjas — detection probability ({trials} attacks per scenario)\n");

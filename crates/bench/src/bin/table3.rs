@@ -85,7 +85,10 @@ fn measure_interval(interval_s: u64, samples: u64, poll_gap_ns: u64) -> Option<I
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&["samples", "poll-us"]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let samples: u64 = args.get("samples", 12);
     let poll_gap_ns: u64 = args.get::<u64>("poll-us", 200) * 1_000;
 

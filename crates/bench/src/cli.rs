@@ -13,18 +13,31 @@ pub struct Args {
 impl Args {
     /// Parses the process's arguments. `--key value` pairs become flags;
     /// bare `--key` (followed by another flag or nothing) become switches.
-    pub fn parse() -> Args {
-        Args::parse_from(std::env::args().skip(1))
+    /// Only the names in `known` (without the `--`) are accepted: any other
+    /// flag is an error naming it, so a typo fails instead of silently
+    /// running the default.
+    pub fn parse_known(known: &[&str]) -> Result<Args, String> {
+        Args::parse_from(std::env::args().skip(1), known)
     }
 
-    /// Parses from an explicit iterator (testable).
-    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Args {
+    /// [`Args::parse_known`] over an explicit iterator (testable).
+    pub fn parse_from<I: IntoIterator<Item = String>>(
+        iter: I,
+        known: &[&str],
+    ) -> Result<Args, String> {
         let mut out = Args::default();
         let items: Vec<String> = iter.into_iter().collect();
         let mut i = 0;
         while i < items.len() {
             let item = &items[i];
             if let Some(key) = item.strip_prefix("--") {
+                if !known.contains(&key) {
+                    let expected: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
+                    return Err(format!(
+                        "unknown flag --{key} (expected one of: {})",
+                        expected.join(", ")
+                    ));
+                }
                 let next_is_value = items.get(i + 1).map(|n| !n.starts_with("--")).unwrap_or(false);
                 if next_is_value {
                     out.flags.insert(key.to_owned(), items[i + 1].clone());
@@ -37,7 +50,7 @@ impl Args {
                 i += 1;
             }
         }
-        out
+        Ok(out)
     }
 
     /// A flag's value parsed into any `FromStr` type, or `default`.
@@ -60,13 +73,15 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Args {
-        Args::parse_from(s.iter().map(|s| s.to_string()))
+    const KNOWN: &[&str] = &["seed", "full", "out"];
+
+    fn args(s: &[&str]) -> Result<Args, String> {
+        Args::parse_from(s.iter().map(|s| s.to_string()), KNOWN)
     }
 
     #[test]
     fn parses_flags_and_switches() {
-        let a = args(&["--seed", "7", "--full", "--out", "x.json"]);
+        let a = args(&["--seed", "7", "--full", "--out", "x.json"]).unwrap();
         assert_eq!(a.get::<u64>("seed", 0), 7);
         assert!(a.has("full"));
         assert_eq!(a.get_str("out"), Some("x.json"));
@@ -76,7 +91,17 @@ mod tests {
 
     #[test]
     fn bad_values_fall_back_to_default() {
-        let a = args(&["--seed", "notanumber"]);
+        let a = args(&["--seed", "notanumber"]).unwrap();
         assert_eq!(a.get::<u64>("seed", 5), 5);
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        let err = args(&["--seed", "7", "--sede", "8"]).unwrap_err();
+        assert!(err.contains("unknown flag --sede"), "{err}");
+        assert!(err.contains("--seed, --full, --out"), "{err}");
+        assert!(args(&["--full", "--bench-only"]).is_err(), "unknown switches too");
+        assert!(args(&["--seed=7"]).is_err(), "`=` syntax is not a known flag");
+        assert!(args(&[]).is_ok());
     }
 }

@@ -10,10 +10,10 @@
 //!   pause the VM or suppress the intercepted operation before it takes
 //!   architectural effect.
 //! * **Observers** ([`EventTap`]) see the whole stream — every event,
-//!   claimed or not, and every tick — and never steer it. The trace
-//!   recorder, the fuzzer's coverage tap and audit containers
-//!   ([`crate::container`], auditors on their own host threads, the paper's
-//!   LXC deployment) all attach here.
+//!   claimed or not, and every tick — and never steer it. The replay
+//!   crate's trace recorder, the fuzz crate's coverage tap and audit
+//!   containers ([`crate::container`], auditors on their own host threads,
+//!   the paper's LXC deployment) all attach here.
 //!
 //! # Delivery order
 //!

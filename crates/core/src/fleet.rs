@@ -27,9 +27,9 @@
 //! Static modulo sharding: worker `w` of `W` owns every VM whose id `i`
 //! satisfies `i % W == w`, builds its VMs in ascending id order, then
 //! round-robins one slice per live VM (ascending id order) until all are
-//! done. There is no work stealing — rebalancing would not change any
-//! per-VM result (slices are per-VM), but static shards keep the schedule
-//! trivially auditable and the worker→VM map reproducible in logs.
+//! done, then exits. VMs never move between workers — moving one would not
+//! change any per-VM result (slices are per-VM), but static shards keep the
+//! schedule trivially auditable and the worker→VM map reproducible in logs.
 
 use crate::audit::Finding;
 use crate::em::DeliveryStats;
@@ -38,8 +38,8 @@ use crate::flight::panic_message;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{FindingBus, TelemetryHub, VmProbe};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// What one scheduling slice did to a fleet VM.
@@ -75,21 +75,6 @@ pub trait FleetVm {
         None
     }
 
-    /// Serializes the VM for migration to another worker, or `None` when
-    /// the VM cannot be snapshotted (the default) — a non-migratable VM
-    /// simply stays on its current worker when a rebalance is requested.
-    fn snapshot(&mut self) -> Option<Vec<u8>> {
-        None
-    }
-
-    /// Restores a [`FleetVm::snapshot`] blob into this VM, which was
-    /// freshly built by [`FleetWorkload::build_vm`] on the receiving
-    /// worker. A failed restore fails the whole fleet run (the VM's state
-    /// is in flight and cannot be recovered).
-    fn restore(&mut self, _bytes: &[u8]) -> Result<(), String> {
-        Err("this fleet VM does not support migration".to_owned())
-    }
-
     /// A cheap read-only probe of the VM's monitoring plane — simulated
     /// time, event intake, audit backpressure — for the telemetry hub's
     /// `/vms` endpoint. Called after every slice when a hub is attached;
@@ -97,111 +82,6 @@ pub trait FleetVm {
     /// state: probing is host-side observation only.
     fn telemetry_probe(&mut self) -> Option<VmProbe> {
         None
-    }
-}
-
-/// Decides when a fleet VM migrates to another worker mid-campaign.
-///
-/// Consulted after every slice a VM takes. Returning `Some(target)` asks
-/// the host to snapshot the VM on its current worker and restore it on
-/// worker `target` before its next slice; `None`, a target equal to the
-/// current worker, or an out-of-range target leaves the VM where it is,
-/// as does a VM whose [`FleetVm::snapshot`] returns `None`.
-///
-/// # Determinism
-///
-/// Migration never changes what a VM computes — the snapshot/restore
-/// equivalence contract guarantees slice `k + 1` after a migration is the
-/// same slice `k + 1` the VM would have taken in place, so per-VM
-/// findings, traces and metrics-free observables are identical for *any*
-/// policy and any worker count. For reproducible worker→VM placement logs,
-/// prefer policies that are pure functions of `(vm, slices_taken)`.
-pub trait RebalancePolicy: Send + Sync {
-    /// Decides whether `vm` (which has taken `slices_taken` slices and
-    /// currently lives on `worker` of `workers`) should migrate.
-    fn migrate(&self, vm: VmId, slices_taken: u64, worker: usize, workers: usize) -> Option<usize>;
-}
-
-/// The default policy: never migrate.
-pub struct NoRebalance;
-
-impl RebalancePolicy for NoRebalance {
-    fn migrate(&self, _: VmId, _: u64, _: usize, _: usize) -> Option<usize> {
-        None
-    }
-}
-
-/// Rotates every VM to the next worker each time it completes `period`
-/// slices — the forced-migration schedule the determinism tests use.
-pub struct RotateEvery(pub u64);
-
-impl RebalancePolicy for RotateEvery {
-    fn migrate(
-        &self,
-        _vm: VmId,
-        slices_taken: u64,
-        worker: usize,
-        workers: usize,
-    ) -> Option<usize> {
-        if self.0 > 0 && workers > 1 && slices_taken.is_multiple_of(self.0) {
-            Some((worker + 1) % workers)
-        } else {
-            None
-        }
-    }
-}
-
-/// A VM in flight between two workers: snapshotted on the source, waiting
-/// in the target's mailbox to be rebuilt and restored.
-struct Migrant {
-    vm: VmId,
-    slices_taken: u64,
-    bytes: Vec<u8>,
-}
-
-/// Shared mailboxes for in-flight migrations, plus the global live-VM
-/// count workers use to decide when an empty shard is *finished* (no VM
-/// anywhere can still migrate in) rather than merely idle.
-struct MigrationBoard {
-    inboxes: Mutex<Vec<Vec<Migrant>>>,
-    live: AtomicUsize,
-    /// Workers still in their stepping loop — the only phase that posts
-    /// migrants. Once it hits zero, one final mailbox sweep sees every
-    /// migrant that will ever arrive.
-    stepping: AtomicUsize,
-}
-
-impl MigrationBoard {
-    fn new(workers: usize, vms: usize) -> Self {
-        MigrationBoard {
-            inboxes: Mutex::new((0..workers).map(|_| Vec::new()).collect()),
-            live: AtomicUsize::new(vms),
-            stepping: AtomicUsize::new(workers),
-        }
-    }
-
-    fn post(&self, target: usize, migrant: Migrant) {
-        self.inboxes.lock().expect("migration board")[target].push(migrant);
-    }
-
-    fn take(&self, worker: usize) -> Vec<Migrant> {
-        std::mem::take(&mut self.inboxes.lock().expect("migration board")[worker])
-    }
-
-    fn vm_finished(&self) {
-        self.live.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn all_finished(&self) -> bool {
-        self.live.load(Ordering::SeqCst) == 0
-    }
-
-    fn stepping_done(&self) {
-        self.stepping.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn no_one_stepping(&self) -> bool {
-        self.stepping.load(Ordering::SeqCst) == 0
     }
 }
 
@@ -302,21 +182,8 @@ struct WorkerFailure {
 
 impl FleetHost {
     /// Launches the fleet: spawns the worker pool and starts stepping.
-    /// VMs stay on their initial shard for the whole campaign.
     pub fn launch(workload: Arc<dyn FleetWorkload>, cfg: FleetConfig) -> FleetHost {
-        FleetHost::launch_with_policy(workload, cfg, Arc::new(NoRebalance))
-    }
-
-    /// Launches the fleet with a mid-campaign [`RebalancePolicy`]: after
-    /// every slice the policy may migrate the VM — snapshot on the source
-    /// worker, rebuild-and-restore on the target — without changing any
-    /// per-VM result (see the policy's determinism notes).
-    pub fn launch_with_policy(
-        workload: Arc<dyn FleetWorkload>,
-        cfg: FleetConfig,
-        policy: Arc<dyn RebalancePolicy>,
-    ) -> FleetHost {
-        FleetHost::launch_inner(workload, cfg, policy, None)
+        FleetHost::spawn(workload, cfg, None)
     }
 
     /// Launches the fleet with a live [`TelemetryHub`] attached: workers
@@ -330,18 +197,16 @@ impl FleetHost {
         cfg: FleetConfig,
         hub: Arc<TelemetryHub>,
     ) -> FleetHost {
-        FleetHost::launch_inner(workload, cfg, Arc::new(NoRebalance), Some(hub))
+        FleetHost::spawn(workload, cfg, Some(hub))
     }
 
-    fn launch_inner(
+    fn spawn(
         workload: Arc<dyn FleetWorkload>,
         cfg: FleetConfig,
-        policy: Arc<dyn RebalancePolicy>,
         hub: Option<Arc<TelemetryHub>>,
     ) -> FleetHost {
         let stop = Arc::new(AtomicBool::new(false));
         let workers = cfg.effective_workers();
-        let board = Arc::new(MigrationBoard::new(workers, cfg.vms));
         let mut handles = Vec::new();
         if cfg.vms > 0 {
             for w in 0..workers {
@@ -349,23 +214,10 @@ impl FleetHost {
                     (w..cfg.vms).step_by(workers).map(|i| VmId(i as u32)).collect();
                 let workload = Arc::clone(&workload);
                 let stop = Arc::clone(&stop);
-                let policy = Arc::clone(&policy);
-                let board = Arc::clone(&board);
                 let hub = hub.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("fleet-worker-{w}"))
-                    .spawn(move || {
-                        worker_loop(
-                            w,
-                            workers,
-                            &shard,
-                            &*workload,
-                            &stop,
-                            &*policy,
-                            &board,
-                            hub.as_deref(),
-                        )
-                    })
+                    .spawn(move || worker_loop(w, &shard, &*workload, &stop, hub.as_deref()))
                     .expect("spawn fleet worker");
                 handles.push(handle);
             }
@@ -385,30 +237,45 @@ impl FleetHost {
 
     /// Waits for every VM to finish and returns the per-VM reports in
     /// ascending [`VmId`] order.
+    ///
+    /// A failed worker stops the fleet: the other workers drain their VMs
+    /// and are joined, and only then is the first failure (in worker order)
+    /// raised — a caught slice panic with its flight-dump path, or a worker
+    /// panic re-raised as is.
     pub fn join(mut self) -> FleetReport {
         let mut per_vm = Vec::with_capacity(self.cfg.vms);
+        // `Ok` holds a caught slice panic, `Err` a panic that escaped a worker.
+        let mut failure: Option<std::thread::Result<WorkerFailure>> = None;
         for handle in std::mem::take(&mut self.handles) {
-            match handle.join() {
-                Ok(Ok(reports)) => per_vm.extend(reports),
-                Ok(Err(failure)) => {
-                    let mut msg = format!(
-                        "fleet worker panicked stepping {}: {}",
-                        failure.vm, failure.message
-                    );
-                    if let Some(bytes) = failure.dump {
-                        let path = std::env::temp_dir().join(format!(
-                            "hypertap-{}-worker-panic-{}.htfr",
-                            failure.vm,
-                            std::process::id()
-                        ));
-                        if std::fs::write(&path, bytes).is_ok() {
-                            msg.push_str(&format!(" (flight dump: {})", path.display()));
-                        }
-                    }
-                    panic!("{msg}");
+            let outcome = match handle.join() {
+                Ok(Ok(reports)) => {
+                    per_vm.extend(reports);
+                    continue;
                 }
-                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(Err(f)) => Ok(f),
+                Err(panic) => Err(panic),
+            };
+            self.stop.store(true, Ordering::SeqCst);
+            failure.get_or_insert(outcome);
+        }
+        match failure {
+            None => {}
+            Some(Ok(failure)) => {
+                let mut msg =
+                    format!("fleet worker panicked stepping {}: {}", failure.vm, failure.message);
+                if let Some(bytes) = failure.dump {
+                    let path = std::env::temp_dir().join(format!(
+                        "hypertap-{}-worker-panic-{}.htfr",
+                        failure.vm,
+                        std::process::id()
+                    ));
+                    if std::fs::write(&path, bytes).is_ok() {
+                        msg.push_str(&format!(" (flight dump: {})", path.display()));
+                    }
+                }
+                panic!("{msg}");
             }
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
         }
         per_vm.sort_by_key(|r| r.vm.0);
         FleetReport { per_vm }
@@ -433,71 +300,35 @@ impl Drop for FleetHost {
     }
 }
 
-/// One VM on a worker: its identity, how many slices it has taken (the
-/// rebalance policy's clock), and the VM itself.
+/// One VM on a worker: its identity and the VM itself.
 struct WorkerSlot {
     id: VmId,
-    slices_taken: u64,
     vm: Box<dyn FleetVm>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     worker: usize,
-    workers: usize,
     shard: &[VmId],
     workload: &dyn FleetWorkload,
     stop: &AtomicBool,
-    policy: &dyn RebalancePolicy,
-    board: &MigrationBoard,
     hub: Option<&TelemetryHub>,
 ) -> Result<Vec<VmReport>, WorkerFailure> {
     if let Some(h) = hub {
         h.worker_started(worker);
     }
     // Build in ascending id order, step round-robin in ascending id order:
-    // the per-VM slice schedule is identical for every worker count. A
-    // migrated VM resumes its own schedule on the target worker — slices
-    // are per-VM, so interleaving with the new shard changes nothing.
+    // the per-VM slice schedule is identical for every worker count.
     let mut vms: Vec<WorkerSlot> = shard
         .iter()
         .map(|&id| {
             if let Some(h) = hub {
                 h.vm_started(id, worker);
             }
-            WorkerSlot { id, slices_taken: 0, vm: workload.build_vm(id) }
+            WorkerSlot { id, vm: workload.build_vm(id) }
         })
         .collect();
-    let mut reports = Vec::new();
-    'run: while !stop.load(Ordering::SeqCst) {
-        // Accept VMs migrating in: rebuild from the recipe, then restore.
-        for m in board.take(worker) {
-            let mut vm = workload.build_vm(m.vm);
-            if let Err(e) = vm.restore(&m.bytes) {
-                // Fail the run, but first unblock peers idling on the
-                // board (their VMs can never all finish now).
-                stop.store(true, Ordering::SeqCst);
-                board.stepping_done();
-                return Err(WorkerFailure {
-                    vm: m.vm,
-                    message: format!("restoring migrated VM: {e}"),
-                    dump: None,
-                });
-            }
-            if let Some(h) = hub {
-                h.vm_started(m.vm, worker);
-            }
-            let at = vms.partition_point(|s| s.id.0 < m.vm.0);
-            vms.insert(at, WorkerSlot { id: m.vm, slices_taken: m.slices_taken, vm });
-        }
-        if vms.is_empty() {
-            if board.all_finished() {
-                break 'run;
-            }
-            // Idle but the campaign is not over: a VM may still migrate in.
-            std::thread::yield_now();
-            continue 'run;
-        }
+    let mut reports = Vec::with_capacity(vms.len());
+    'run: while !vms.is_empty() {
         let mut i = 0;
         while i < vms.len() {
             if stop.load(Ordering::SeqCst) {
@@ -517,11 +348,9 @@ fn worker_loop(
                         .ok()
                         .flatten();
                     stop.store(true, Ordering::SeqCst);
-                    board.stepping_done();
                     return Err(WorkerFailure { vm: slot.id, message, dump });
                 }
             };
-            slot.slices_taken += 1;
             if let Some(h) = hub {
                 h.vm_progress(slot.id, worker, slot.vm.telemetry_probe());
             }
@@ -532,65 +361,19 @@ fn worker_loop(
                     h.vm_finished(&report, worker);
                 }
                 reports.push(report);
-                board.vm_finished();
                 continue;
-            }
-            if let Some(target) = policy.migrate(slot.id, slot.slices_taken, worker, workers) {
-                if target != worker && target < workers {
-                    if let Some(bytes) = slot.vm.snapshot() {
-                        let slot = vms.remove(i);
-                        board.post(
-                            target,
-                            Migrant { vm: slot.id, slices_taken: slot.slices_taken, bytes },
-                        );
-                        continue;
-                    }
-                    // A VM that cannot snapshot stays put.
-                }
             }
             i += 1;
         }
     }
-    // Early stop (or natural exit): drain local VMs so partial reports are
-    // not lost, then adopt anything posted to this worker's mailbox — a VM
-    // caught mid-migration must be reported, not dropped. Migrants are
-    // only posted from stepping loops, so once every worker has left its
-    // stepping loop one final sweep is guaranteed to see them all.
+    // Early stop: drain the VMs still running so partial reports are not
+    // lost.
     for mut slot in vms {
         let report = slot.vm.finish();
         if let Some(h) = hub {
             h.vm_finished(&report, worker);
         }
         reports.push(report);
-        board.vm_finished();
-    }
-    board.stepping_done();
-    let adopt = |m: Migrant, reports: &mut Vec<VmReport>| {
-        let mut vm = workload.build_vm(m.vm);
-        // Best-effort: if the restore fails mid-stop the VM's identity is
-        // still reported, just with recipe-fresh observables.
-        let _ = vm.restore(&m.bytes);
-        let mut report = vm.finish();
-        report.vm = m.vm;
-        // The migrant never reached its deadline: report it as halted.
-        report.halted = true;
-        if let Some(h) = hub {
-            h.vm_finished(&report, worker);
-        }
-        reports.push(report);
-        board.vm_finished();
-    };
-    loop {
-        for m in board.take(worker) {
-            adopt(m, &mut reports);
-        }
-        if board.no_one_stepping() {
-            for m in board.take(worker) {
-                adopt(m, &mut reports);
-            }
-            break;
-        }
-        std::thread::yield_now();
     }
     if let Some(h) = hub {
         h.worker_done(worker);
@@ -601,15 +384,6 @@ fn worker_loop(
 /// Runs a whole fleet to completion: launch + join.
 pub fn run_fleet(workload: Arc<dyn FleetWorkload>, cfg: FleetConfig) -> FleetReport {
     FleetHost::launch(workload, cfg).join()
-}
-
-/// Runs a whole fleet to completion under a [`RebalancePolicy`].
-pub fn run_fleet_with_policy(
-    workload: Arc<dyn FleetWorkload>,
-    cfg: FleetConfig,
-    policy: Arc<dyn RebalancePolicy>,
-) -> FleetReport {
-    FleetHost::launch_with_policy(workload, cfg, policy).join()
 }
 
 /// Runs a whole fleet to completion with a live [`TelemetryHub`]
@@ -954,28 +728,83 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
-    #[test]
-    fn effective_workers_clamps() {
-        assert_eq!(FleetConfig::new(64, 8).effective_workers(), 8);
-        assert_eq!(FleetConfig::new(3, 8).effective_workers(), 3);
-        assert_eq!(FleetConfig::new(5, 0).effective_workers(), 1);
-    }
+    /// VM 0 panics on its first slice; VM 1 runs until stopped and then
+    /// takes a while to finish before raising `finished`.
+    struct PanicAndSlowDrain(Arc<AtomicBool>);
 
-    /// A migratable stub VM: its whole state is (taken, remaining), carried
-    /// across workers as little-endian bytes. Also records how many times
-    /// it was restored, so tests can prove migrations actually happened.
-    struct MigratableVm {
+    struct PanicOrSlow {
         id: VmId,
-        remaining: u64,
-        taken: u64,
-        restores: Arc<AtomicU64>,
-        was_restored: bool,
+        finished: Arc<AtomicBool>,
     }
 
-    impl FleetVm for MigratableVm {
+    impl FleetVm for PanicOrSlow {
         fn step_slice(&mut self) -> SliceOutcome {
+            if self.id == VmId(0) {
+                panic!("vm 0 fails");
+            }
+            std::thread::yield_now();
+            SliceOutcome::Running
+        }
+
+        fn finish(&mut self) -> VmReport {
+            if self.id == VmId(1) {
+                std::thread::sleep(std::time::Duration::from_millis(200));
+                self.finished.store(true, Ordering::SeqCst);
+            }
+            VmReport {
+                vm: self.id,
+                findings: Vec::new(),
+                stats: DeliveryStats::default(),
+                metrics: MetricsRegistry::new(),
+                halted: false,
+                payload: Vec::new(),
+            }
+        }
+    }
+
+    impl FleetWorkload for PanicAndSlowDrain {
+        fn build_vm(&self, vm: VmId) -> Box<dyn FleetVm> {
+            Box::new(PanicOrSlow { id: vm, finished: Arc::clone(&self.0) })
+        }
+    }
+
+    #[test]
+    fn failed_run_joins_every_worker_before_raising() {
+        let finished = Arc::new(AtomicBool::new(false));
+        let workload = Arc::new(PanicAndSlowDrain(Arc::clone(&finished)));
+        let result = std::panic::catch_unwind(|| run_fleet(workload, FleetConfig::new(2, 2)));
+        let message = panic_message(result.expect_err("the vm0 panic must propagate"));
+        assert!(message.contains("vm 0 fails"), "{message}");
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "the surviving worker must be drained and joined before the failure is raised"
+        );
+    }
+
+    /// Every build, step and finish: what ran, on which VM, on which thread.
+    type SliceLog = Arc<std::sync::Mutex<Vec<(&'static str, VmId, String)>>>;
+
+    /// A VM that runs `slices` slices and logs, into a shared list, every
+    /// build, step and finish with the name of the thread that ran it.
+    struct Logged {
+        id: VmId,
+        slices: u64,
+        taken: u64,
+        log: SliceLog,
+    }
+
+    impl Logged {
+        fn note(&self, what: &'static str) {
+            let thread = std::thread::current().name().unwrap_or("").to_owned();
+            self.log.lock().unwrap().push((what, self.id, thread));
+        }
+    }
+
+    impl FleetVm for Logged {
+        fn step_slice(&mut self) -> SliceOutcome {
+            self.note("step");
             self.taken += 1;
-            if self.taken >= self.remaining {
+            if self.taken >= self.slices {
                 SliceOutcome::Done
             } else {
                 SliceOutcome::Running
@@ -983,124 +812,153 @@ mod tests {
         }
 
         fn finish(&mut self) -> VmReport {
+            self.note("finish");
             VmReport {
                 vm: self.id,
-                findings: vec![Finding {
-                    auditor: "migratable".to_owned(),
-                    time: SimTime::from_nanos(self.taken),
-                    severity: Severity::Info,
-                    message: format!("vm {} took {} slices", self.id.0, self.taken),
-                    provenance: Vec::new(),
-                }],
-                stats: DeliveryStats { events_in: self.taken * 3, ..Default::default() },
+                findings: Vec::new(),
+                stats: DeliveryStats { events_in: self.taken, ..Default::default() },
                 metrics: MetricsRegistry::new(),
                 halted: false,
-                payload: self.taken.to_le_bytes().to_vec(),
+                payload: Vec::new(),
             }
-        }
-
-        fn snapshot(&mut self) -> Option<Vec<u8>> {
-            let mut bytes = self.taken.to_le_bytes().to_vec();
-            bytes.extend_from_slice(&self.remaining.to_le_bytes());
-            Some(bytes)
-        }
-
-        fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-            if bytes.len() != 16 {
-                return Err(format!("bad migration blob: {} bytes", bytes.len()));
-            }
-            self.taken = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-            self.remaining = u64::from_le_bytes(bytes[8..].try_into().unwrap());
-            self.restores.fetch_add(1, Ordering::SeqCst);
-            self.was_restored = true;
-            Ok(())
         }
     }
 
-    struct MigratableFleet {
-        restores: Arc<AtomicU64>,
+    /// VM i runs `slices[i]` slices.
+    struct LoggedFleet {
+        slices: Vec<u64>,
+        log: SliceLog,
     }
 
-    impl FleetWorkload for MigratableFleet {
+    impl LoggedFleet {
+        fn new(slices: &[u64]) -> Arc<LoggedFleet> {
+            Arc::new(LoggedFleet { slices: slices.to_vec(), log: Arc::default() })
+        }
+
+        fn log(&self) -> Vec<(&'static str, VmId, String)> {
+            self.log.lock().unwrap().clone()
+        }
+    }
+
+    impl FleetWorkload for LoggedFleet {
         fn build_vm(&self, vm: VmId) -> Box<dyn FleetVm> {
-            Box::new(MigratableVm {
+            let built = Logged {
                 id: vm,
-                remaining: 4 + (vm.0 as u64) % 7,
+                slices: self.slices[vm.0 as usize],
                 taken: 0,
-                restores: Arc::clone(&self.restores),
-                was_restored: false,
-            })
+                log: Arc::clone(&self.log),
+            };
+            built.note("build");
+            Box::new(built)
         }
     }
 
     #[test]
-    fn rotating_migration_preserves_every_per_vm_report() {
-        let restores = Arc::new(AtomicU64::new(0));
-        let workload = Arc::new(MigratableFleet { restores: Arc::clone(&restores) });
-        let vms = 9;
-        let baseline: Vec<VmReport> =
-            (0..vms).map(|i| run_vm_alone(&*workload, VmId(i as u32))).collect();
-        for workers in [1usize, 2, 3, 8] {
-            restores.store(0, Ordering::SeqCst);
-            let report = run_fleet_with_policy(
-                Arc::clone(&workload) as Arc<dyn FleetWorkload>,
-                FleetConfig::new(vms, workers),
-                Arc::new(RotateEvery(2)),
+    fn each_vm_lives_on_its_modulo_worker() {
+        let workload = LoggedFleet::new(&[3, 1, 4, 1, 5, 9, 2]);
+        let report = run_fleet(Arc::clone(&workload) as _, FleetConfig::new(7, 3));
+        assert_eq!(report.per_vm.len(), 7);
+        let log = workload.log();
+        assert_eq!(log.len(), 7 + (3 + 1 + 4 + 1 + 5 + 9 + 2) + 7, "build + steps + finish");
+        for (what, vm, thread) in log {
+            assert_eq!(
+                thread,
+                format!("fleet-worker-{}", vm.0 % 3),
+                "{what} of {vm} ran on the wrong worker"
             );
-            assert_eq!(report.per_vm.len(), vms, "workers={workers}");
-            for (got, want) in report.per_vm.iter().zip(baseline.iter()) {
-                assert_eq!(got.vm, want.vm);
-                assert_eq!(got.findings, want.findings, "workers={workers}");
-                assert_eq!(got.stats, want.stats, "workers={workers}");
-                assert_eq!(got.payload, want.payload, "workers={workers}");
-            }
-            if workers > 1 {
-                // Every VM runs ≥ 4 slices, so each migrates at least once.
-                assert!(
-                    restores.load(Ordering::SeqCst) >= vms as u64,
-                    "workers={workers}: migrations must actually happen"
-                );
-            } else {
-                assert_eq!(
-                    restores.load(Ordering::SeqCst),
-                    0,
-                    "RotateEvery on one worker never migrates"
-                );
-            }
         }
     }
 
     #[test]
-    fn non_migratable_vms_stay_put_under_a_rotating_policy() {
-        // StubVm keeps the default snapshot() -> None: the policy asks for
-        // migration but the fleet must silently keep the VM on its worker
-        // and produce exactly the baseline results.
-        let workload = Arc::new(StubFleet { halters: true });
-        let vms = 8;
-        let baseline: Vec<VmReport> =
-            (0..vms).map(|i| run_vm_alone(&*workload, VmId(i as u32))).collect();
-        let report = run_fleet_with_policy(
-            Arc::clone(&workload) as Arc<dyn FleetWorkload>,
-            FleetConfig::new(vms, 4),
-            Arc::new(RotateEvery(1)),
-        );
-        assert_eq!(report.per_vm.len(), vms);
-        for (got, want) in report.per_vm.iter().zip(baseline.iter()) {
-            assert_eq!(got.vm, want.vm);
-            assert_eq!(got.findings, want.findings);
+    fn a_worker_steps_its_shard_round_robin_in_id_order() {
+        // One worker, slices 3,1,2,3: every round visits the unfinished VMs
+        // in ascending id order, and a VM is finished on the slice that
+        // reports `Done`, before the next VM is stepped.
+        let workload = LoggedFleet::new(&[3, 1, 2, 3]);
+        let report = run_fleet(Arc::clone(&workload) as _, FleetConfig::new(4, 1));
+        let order: Vec<(&str, u32)> =
+            workload.log().iter().map(|(what, vm, _)| (*what, vm.0)).collect();
+        #[rustfmt::skip]
+        let expected = vec![
+            ("build", 0), ("build", 1), ("build", 2), ("build", 3),
+            ("step", 0), ("step", 1), ("finish", 1), ("step", 2), ("step", 3),
+            ("step", 0), ("step", 2), ("finish", 2), ("step", 3),
+            ("step", 0), ("finish", 0), ("step", 3), ("finish", 3),
+        ];
+        assert_eq!(order, expected);
+        let taken: Vec<u64> = report.per_vm.iter().map(|r| r.stats.events_in).collect();
+        assert_eq!(taken, vec![3, 1, 2, 3]);
+    }
+
+    #[test]
+    fn reports_come_back_in_id_order_whatever_the_finish_order() {
+        // VM i runs 8 - i slices, so on each worker the VMs finish in
+        // descending id order.
+        let workload = LoggedFleet::new(&[8, 7, 6, 5, 4, 3]);
+        let report = run_fleet(Arc::clone(&workload) as _, FleetConfig::new(6, 2));
+        let finished: Vec<u32> = workload
+            .log()
+            .iter()
+            .filter(|(what, _, thread)| *what == "finish" && thread == "fleet-worker-0")
+            .map(|(_, vm, _)| vm.0)
+            .collect();
+        assert_eq!(finished, vec![4, 2, 0]);
+        let ids: Vec<u32> = report.per_vm.iter().map(|r| r.vm.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+        let taken: Vec<u64> = report.per_vm.iter().map(|r| r.stats.events_in).collect();
+        assert_eq!(taken, vec![8, 7, 6, 5, 4, 3]);
+    }
+
+    #[test]
+    fn stop_keeps_finished_reports_and_drains_the_rest_once() {
+        // Worker 0's shard (VMs 0, 2, 4) finishes after one slice each;
+        // worker 1's (VMs 1, 3, 5) runs until stopped.
+        let workload = LoggedFleet::new(&[1, u64::MAX, 1, u64::MAX, 1, u64::MAX]);
+        let host = FleetHost::launch(Arc::clone(&workload) as _, FleetConfig::new(6, 2));
+        let finishes = |log: &[(&str, VmId, String)]| -> Vec<u32> {
+            log.iter().filter(|(what, _, _)| *what == "finish").map(|(_, vm, _)| vm.0).collect()
+        };
+        while finishes(&workload.log.lock().unwrap()).len() < 3 {
+            std::thread::yield_now();
+        }
+        let report = host.stop();
+        let ids: Vec<u32> = report.per_vm.iter().map(|r| r.vm.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+        let mut finished: Vec<u32> = finishes(&workload.log());
+        finished.sort_unstable();
+        assert_eq!(finished, vec![0, 1, 2, 3, 4, 5], "every VM is finished exactly once");
+        for r in report.per_vm.iter().filter(|r| r.vm.0 % 2 == 0) {
+            assert_eq!(r.stats.events_in, 1, "{} ran its one slice", r.vm);
         }
     }
 
-    /// An endless migratable VM, for stopping the fleet while migrations
-    /// are in flight.
-    struct EndlessMigratable {
-        id: VmId,
-        slices: Arc<AtomicU64>,
+    /// VM 0 finishes on its first slice; VM 1 runs until worker 0's thread
+    /// has released its handle on the workload (or a deadline passes).
+    struct WaitsForPeerExit {
+        me: std::sync::Weak<WaitsForPeerExit>,
+        saw_peer_exit: Arc<AtomicBool>,
     }
 
-    impl FleetVm for EndlessMigratable {
+    struct PeerWatcher {
+        id: VmId,
+        workload: std::sync::Weak<WaitsForPeerExit>,
+        saw_peer_exit: Arc<AtomicBool>,
+        deadline: std::time::Instant,
+    }
+
+    impl FleetVm for PeerWatcher {
         fn step_slice(&mut self) -> SliceOutcome {
-            self.slices.fetch_add(1, Ordering::Relaxed);
+            if self.id == VmId(0) {
+                return SliceOutcome::Done;
+            }
+            // Each worker thread holds one strong handle until it returns.
+            if self.workload.strong_count() == 1 {
+                self.saw_peer_exit.store(true, Ordering::SeqCst);
+                return SliceOutcome::Done;
+            }
+            if std::time::Instant::now() > self.deadline {
+                return SliceOutcome::Done;
+            }
             std::thread::yield_now();
             SliceOutcome::Running
         }
@@ -1115,101 +973,38 @@ mod tests {
                 payload: Vec::new(),
             }
         }
-
-        fn snapshot(&mut self) -> Option<Vec<u8>> {
-            Some(vec![7])
-        }
-
-        fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-            if bytes == [7] {
-                Ok(())
-            } else {
-                Err("bad blob".to_owned())
-            }
-        }
     }
 
-    struct EndlessMigratableFleet(Arc<AtomicU64>);
-
-    impl FleetWorkload for EndlessMigratableFleet {
+    impl FleetWorkload for WaitsForPeerExit {
         fn build_vm(&self, vm: VmId) -> Box<dyn FleetVm> {
-            Box::new(EndlessMigratable { id: vm, slices: Arc::clone(&self.0) })
+            Box::new(PeerWatcher {
+                id: vm,
+                workload: self.me.clone(),
+                saw_peer_exit: Arc::clone(&self.saw_peer_exit),
+                deadline: std::time::Instant::now() + std::time::Duration::from_secs(10),
+            })
         }
     }
 
     #[test]
-    fn stop_mid_migration_reports_in_flight_vms_as_halted() {
-        // Rotate every slice so at any instant several VMs sit in worker
-        // mailboxes mid-restore. Stopping must join every worker (no thread
-        // leak) and report every VM — the in-flight ones as halted, never
-        // silently dropped.
-        for _ in 0..20 {
-            let slices = Arc::new(AtomicU64::new(0));
-            let host = FleetHost::launch_with_policy(
-                Arc::new(EndlessMigratableFleet(Arc::clone(&slices))),
-                FleetConfig::new(6, 3),
-                Arc::new(RotateEvery(1)),
-            );
-            while slices.load(Ordering::Relaxed) < 50 {
-                std::thread::yield_now();
-            }
-            let report = host.stop();
-            let ids: Vec<u32> = report.per_vm.iter().map(|r| r.vm.0).collect();
-            assert_eq!(ids, vec![0, 1, 2, 3, 4, 5], "every VM must be reported");
-        }
-    }
-
-    #[test]
-    fn failed_migration_restore_fails_the_run() {
-        struct BadRestoreVm {
-            id: VmId,
-        }
-        impl FleetVm for BadRestoreVm {
-            fn step_slice(&mut self) -> SliceOutcome {
-                SliceOutcome::Running
-            }
-            fn finish(&mut self) -> VmReport {
-                VmReport {
-                    vm: self.id,
-                    findings: Vec::new(),
-                    stats: DeliveryStats::default(),
-                    metrics: MetricsRegistry::new(),
-                    halted: false,
-                    payload: Vec::new(),
-                }
-            }
-            fn snapshot(&mut self) -> Option<Vec<u8>> {
-                Some(vec![1, 2, 3])
-            }
-            fn restore(&mut self, _bytes: &[u8]) -> Result<(), String> {
-                Err("corrupt snapshot".to_owned())
-            }
-        }
-        struct BadRestoreFleet;
-        impl FleetWorkload for BadRestoreFleet {
-            fn build_vm(&self, vm: VmId) -> Box<dyn FleetVm> {
-                Box::new(BadRestoreVm { id: vm })
-            }
-        }
-        let result = std::panic::catch_unwind(|| {
-            run_fleet_with_policy(
-                Arc::new(BadRestoreFleet),
-                FleetConfig::new(2, 2),
-                Arc::new(RotateEvery(1)),
-            )
+    fn a_worker_returns_as_soon_as_its_shard_is_done() {
+        let saw_peer_exit = Arc::new(AtomicBool::new(false));
+        let workload = Arc::new_cyclic(|me| WaitsForPeerExit {
+            me: me.clone(),
+            saw_peer_exit: Arc::clone(&saw_peer_exit),
         });
-        let message = panic_message(result.expect_err("restore failure must fail the run"));
-        assert!(message.contains("restoring migrated VM"), "{message}");
-        assert!(message.contains("corrupt snapshot"), "{message}");
+        let report = run_fleet(workload, FleetConfig::new(2, 2));
+        assert_eq!(report.per_vm.len(), 2);
+        assert!(
+            saw_peer_exit.load(Ordering::SeqCst),
+            "worker 0 must return once vm0 is done, not wait for vm1 on worker 1"
+        );
     }
 
     #[test]
-    fn rotate_policy_is_a_pure_function() {
-        let p = RotateEvery(3);
-        assert_eq!(p.migrate(VmId(0), 3, 0, 4), Some(1));
-        assert_eq!(p.migrate(VmId(0), 3, 3, 4), Some(0));
-        assert_eq!(p.migrate(VmId(0), 2, 0, 4), None);
-        assert_eq!(p.migrate(VmId(0), 3, 0, 1), None, "one worker: nowhere to go");
-        assert_eq!(RotateEvery(0).migrate(VmId(0), 5, 0, 4), None, "period 0 never rotates");
+    fn effective_workers_clamps() {
+        assert_eq!(FleetConfig::new(64, 8).effective_workers(), 8);
+        assert_eq!(FleetConfig::new(3, 8).effective_workers(), 3);
+        assert_eq!(FleetConfig::new(5, 0).effective_workers(), 1);
     }
 }

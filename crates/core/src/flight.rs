@@ -762,6 +762,43 @@ mod tests {
     }
 
     #[test]
+    fn restored_ring_continues_like_the_uninterrupted_one() {
+        // Fill past capacity with every record kind, save, load into a
+        // recorder of another capacity, then keep recording on both: the
+        // restored ring must evict, number and dump exactly as the original.
+        let mut original = FlightRecorder::new(6);
+        for i in 0..9 {
+            let r = original.observe_event(&ev(i));
+            original.observe_tick(SimTime::from_millis(i));
+            if i % 4 == 0 {
+                original.note_transition(SimTime::from_millis(i), "goshd", format!("step {i}"));
+                original.note_finding(
+                    &Finding::new("goshd", SimTime::from_millis(i), Severity::Alert, "hung")
+                        .with_provenance(vec![r]),
+                );
+            }
+        }
+        let mut w = SnapWriter::new();
+        original.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = FlightRecorder::new(64);
+        let mut r = SnapReader::new(&bytes);
+        restored.load(&mut r).expect("saved ring loads");
+        r.finish().expect("load consumes the whole section");
+        assert_eq!(restored.capacity(), 6);
+        assert_eq!(restored.dump("cut"), original.dump("cut"));
+        for i in 9..13 {
+            assert_eq!(restored.observe_event(&ev(i)), original.observe_event(&ev(i)));
+            restored.note_span("slice", SimTime::from_millis(i), 10, 0);
+            original.note_span("slice", SimTime::from_millis(i), 10, 0);
+        }
+        assert_eq!(restored.next_ref(), original.next_ref());
+        assert_eq!(restored.dropped(), original.dropped());
+        assert_eq!(restored.dump_bytes("end"), original.dump_bytes("end"));
+        assert_eq!(event_seqs(&restored.dump("end")), vec![10, 11, 12]);
+    }
+
+    #[test]
     fn dump_roundtrips_every_record_kind() {
         let mut fr = FlightRecorder::new(16);
         let r0 = fr.observe_event(&ev(1));

@@ -84,7 +84,6 @@
 
 pub mod audit;
 pub mod container;
-pub mod coverage;
 pub mod derive;
 pub mod em;
 pub mod event;
@@ -102,7 +101,6 @@ pub mod vmi;
 /// Glob import of the framework's main types.
 pub mod prelude {
     pub use crate::audit::{Auditor, CountingAuditor, Finding, FindingSink, Severity};
-    pub use crate::coverage::{CoverageCollector, CoverageMap, StreamCoverage};
     pub use crate::em::{DeliveryStats, EventMultiplexer, EventTap};
     pub use crate::event::{Event, EventClass, EventKind, EventMask, EventRef, SyscallGate, VmId};
     pub use crate::fleet::{

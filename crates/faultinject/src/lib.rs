@@ -18,7 +18,6 @@
 //! the Fig. 4 breakdown.
 
 pub mod campaign;
-pub mod checkpoint;
 pub mod fleet;
 pub mod runner;
 pub mod spec;
@@ -26,7 +25,6 @@ pub mod spec;
 /// Glob import for campaign drivers.
 pub mod prelude {
     pub use crate::campaign::{default_campaign, run_campaign, CampaignConfig, Fig4Row};
-    pub use crate::checkpoint::{campaign_fingerprint, run_campaign_resumable, CampaignCheckpoint};
     pub use crate::fleet::{
         run_fleet_campaign, FleetAttack, FleetCampaign, FleetCampaignSummary, FleetScenario,
     };

@@ -3,7 +3,6 @@
 //! ```text
 //! scenariofuzz [--seed N] [--iters N] [--seconds N] [--cap-ms N]
 //!              [--out DIR] [--blind] [--compare] [--corpus]
-//!              [--fork-warmup-ms N] [--fork-bench]
 //!              [--shrink-selftest] [--record-corpus DIR]
 //! ```
 //!
@@ -12,27 +11,22 @@
 //! * `--blind`: blind seed sampling (the baseline), same checks.
 //! * `--compare`: run guided and blind at the same budget and report the
 //!   auditor-transition-edge counts side by side.
-//! * `--fork-warmup-ms N`: fork-from-snapshot — scenarios longer than the
-//!   warmup explore from a cached machine snapshot of their recipe.
-//! * `--fork-bench`: measure the fork speedup: duration branches of one
-//!   warmed-up guest, forked vs from scratch, equivalence verified.
 //! * `--shrink-selftest`: inject a divergence, shrink it, write the
 //!   reproducer pair and verify it replays the same divergence.
 //! * `--record-corpus DIR`: regenerate the starter corpus fixtures.
 //!
 //! Exit codes: 0 clean, 1 divergences found (reproducers written when
-//! `--out` is set), 2 self-test or compare failure, 3 usage error.
+//! `--out` is set), 2 self-test or compare failure, 3 usage error
+//! (including an unknown flag).
 
 use hypertap_bench::cli::Args;
 use hypertap_fuzz::corpus::{load_corpus, record_starter_corpus, CORPUS_DIR};
-use hypertap_fuzz::fork::ForkPoint;
 use hypertap_fuzz::harness::{observe_scenario, replay_reproducer, write_reproducer};
 use hypertap_fuzz::{run_fuzz, FuzzConfig, FuzzOutcome};
 use hypertap_hvsim::clock::Duration;
 use hypertap_replay::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn parse_u64(args: &Args, name: &str, default: u64) -> Result<u64, String> {
     match args.get_str(name) {
@@ -49,12 +43,7 @@ fn print_outcome(label: &str, out: &FuzzOutcome) {
         .iter()
         .filter(|i| matches!(i.kind, hypertap_fuzz::corpus::InputKind::Scenario(_)))
         .count();
-    println!(
-        "{label}: {} iterations, {} executions{}",
-        out.iterations,
-        out.executions,
-        if out.forks > 0 { format!(" ({} forked)", out.forks) } else { String::new() }
-    );
+    println!("{label}: {} iterations, {} executions", out.iterations, out.executions);
     println!(
         "  corpus: {} entries ({} scenario, {} trace)",
         out.corpus.len(),
@@ -127,65 +116,25 @@ fn shrink_selftest(out_dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Measures what fork-from-snapshot saves: `branches` duration branches
-/// of one scenario, each run from scratch and each forked from a single
-/// warmed-up snapshot, with bit-for-bit equivalence verified per branch.
-fn fork_bench(seed: u64, warmup_ms: u64, branches: u64) -> Result<(), String> {
-    let mut scenario = Scenario::sample(seed, 0);
-    scenario.name = "fork-bench".to_owned();
-    let warmup = Duration::from_millis(warmup_ms);
-    let totals: Vec<Duration> =
-        (1..=branches).map(|i| warmup + Duration::from_millis(5 * i)).collect();
-
-    let t0 = Instant::now();
-    let mut scratch = Vec::new();
-    for total in &totals {
-        scenario.duration = *total;
-        scratch.push(observe_scenario(&scenario, &BASE));
-    }
-    let scratch_time = t0.elapsed();
-
-    let t1 = Instant::now();
-    let point = ForkPoint::capture(&scenario, &BASE, warmup)?;
-    let mut forked = Vec::new();
-    for total in &totals {
-        forked.push(point.fork(&scenario.name, *total)?);
-    }
-    let fork_time = t1.elapsed();
-
-    for ((total, s), f) in totals.iter().zip(&scratch).zip(&forked) {
-        if f.trace.encode() != s.trace.encode() {
-            return Err(format!("branch {total:?}: forked trace differs from scratch"));
-        }
-        if f.verdict != s.verdict {
-            return Err(format!("branch {total:?}: forked verdict differs from scratch"));
-        }
-        if f.flight != s.flight {
-            return Err(format!("branch {total:?}: forked flight dump differs from scratch"));
-        }
-        if f.coverage.fingerprint() != s.coverage.fingerprint() {
-            return Err(format!("branch {total:?}: forked coverage differs from scratch"));
-        }
-    }
-
-    let speedup = scratch_time.as_secs_f64() / fork_time.as_secs_f64().max(1e-9);
-    println!(
-        "fork bench: {branches} duration branches of {} ms warmup (+5 ms steps), all equivalent",
-        warmup.as_millis()
-    );
-    println!("  from scratch: {:>8.1} ms", scratch_time.as_secs_f64() * 1e3);
-    println!(
-        "  forked:       {:>8.1} ms (capture + {} forks, {} frozen bytes)",
-        fork_time.as_secs_f64() * 1e3,
-        branches,
-        point.frozen_bytes()
-    );
-    println!("  speedup:      {speedup:>8.2}x");
-    Ok(())
-}
-
 fn main() -> ExitCode {
-    let args = Args::parse();
+    let args = match Args::parse_known(&[
+        "seed",
+        "iters",
+        "seconds",
+        "cap-ms",
+        "out",
+        "blind",
+        "compare",
+        "corpus",
+        "shrink-selftest",
+        "record-corpus",
+    ]) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(3);
+        }
+    };
     let seed = match parse_u64(&args, "seed", 42) {
         Ok(v) => v,
         Err(e) => {
@@ -214,25 +163,7 @@ fn main() -> ExitCode {
             return ExitCode::from(3);
         }
     };
-    let fork_warmup_ms = match parse_u64(&args, "fork-warmup-ms", 0) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(3);
-        }
-    };
     let out_dir: Option<PathBuf> = args.get_str("out").map(PathBuf::from);
-
-    if args.has("fork-bench") {
-        let warmup = if fork_warmup_ms > 0 { fork_warmup_ms } else { 80 };
-        return match fork_bench(seed, warmup, 8) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("fork bench FAILED: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
 
     if let Some(dir) = args.get_str("record-corpus") {
         return match record_starter_corpus(Path::new(dir)) {
@@ -281,7 +212,6 @@ fn main() -> ExitCode {
         cap: Duration::from_millis(cap_ms),
         guided: !args.has("blind"),
         deadline,
-        fork_warmup: (fork_warmup_ms > 0).then(|| Duration::from_millis(fork_warmup_ms)),
     };
 
     if args.has("compare") {

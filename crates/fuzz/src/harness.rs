@@ -15,9 +15,7 @@
 //! always fingerprints identically — live, replayed, or sharded.
 
 use crate::corpus::CorpusError;
-use hypertap_core::coverage::{
-    feature, normalize_detail, CoverageCollector, CoverageMap, StreamCoverage,
-};
+use crate::coverage::{feature, normalize_detail, CoverageCollector, CoverageMap, StreamCoverage};
 use hypertap_core::em::EventMultiplexer;
 use hypertap_core::flight::{DumpRecord, FlightDump};
 use hypertap_core::prelude::VmId;

@@ -23,15 +23,14 @@
 //! can stop a run early, trading that guarantee for bounded latency.)
 
 pub mod corpus;
-pub mod fork;
+pub mod coverage;
 pub mod harness;
 pub mod mutate;
 
 use crate::corpus::{CorpusItem, InputKind};
-use crate::fork::{recipe_key, ForkPoint};
+use crate::coverage::CoverageMap;
 use crate::harness::{observe_replay, observe_scenario, write_reproducer, write_trace_artifact};
 use crate::mutate::mutate_scenario;
-use hypertap_core::coverage::CoverageMap;
 use hypertap_hvsim::clock::Duration;
 use hypertap_replay::prelude::*;
 use hypertap_replay::scenario::{ConfigVariant, EXTRA_BITMAP, FLIGHT_OFF, NO_TLB};
@@ -58,13 +57,6 @@ pub struct FuzzConfig {
     /// byte-determinism then only holds between runs hitting the same
     /// iteration count.
     pub deadline: Option<std::time::Instant>,
-    /// Fork-from-snapshot: when set, scenarios longer than this warmup
-    /// run from a cached [`ForkPoint`] of their recipe — the prefix is
-    /// stepped once per recipe and every duration branch restores and
-    /// runs only its extension. The snapshot equivalence contract makes
-    /// the observations bit-identical to from-scratch runs, so coverage,
-    /// corpus and divergence checks are unchanged; only wall-clock drops.
-    pub fork_warmup: Option<Duration>,
 }
 
 impl FuzzConfig {
@@ -76,7 +68,6 @@ impl FuzzConfig {
             cap: Duration::from_millis(100),
             guided: true,
             deadline: None,
-            fork_warmup: None,
         }
     }
 }
@@ -105,9 +96,6 @@ pub struct FuzzOutcome {
     pub iterations: u64,
     /// Live simulator runs plus replays performed.
     pub executions: u64,
-    /// How many base observations came from a fork instead of a
-    /// from-scratch run (0 unless [`FuzzConfig::fork_warmup`] is set).
-    pub forks: u64,
     /// The corpus: every input that reached new coverage, admission order.
     pub corpus: Vec<CorpusItem>,
     /// The merged coverage map.
@@ -130,13 +118,6 @@ impl FuzzOutcome {
     }
 }
 
-/// How many warmed-up recipes the fork cache keeps frozen at once. Each
-/// entry holds a full machine snapshot (~100 KiB for a booted guest), so
-/// the cache is bounded; when full it is cleared and re-warmed on demand,
-/// which stays deterministic because cache state is a pure function of
-/// the iteration sequence.
-const FORK_CACHE_LIMIT: usize = 16;
-
 struct Fuzzer {
     config: FuzzConfig,
     rng: StdRng,
@@ -146,8 +127,6 @@ struct Fuzzer {
     divergences: Vec<DivergenceReport>,
     executions: u64,
     repro_dir: Option<PathBuf>,
-    fork_points: std::collections::BTreeMap<String, ForkPoint>,
-    forks_taken: u64,
 }
 
 impl Fuzzer {
@@ -192,49 +171,12 @@ impl Fuzzer {
         });
     }
 
-    /// The base observation for a scenario: a from-scratch run, or — when
-    /// fork mode is on and the scenario outlives the warmup — a fork from
-    /// its recipe's cached snapshot. The snapshot equivalence contract
-    /// makes the two bit-identical, so callers never see the difference.
-    fn observe_base(&mut self, s: &Scenario) -> crate::harness::RunObservation {
-        let Some(warmup) = self.config.fork_warmup else {
-            self.executions += 1;
-            return observe_scenario(s, &BASE);
-        };
-        if s.duration <= warmup {
-            self.executions += 1;
-            return observe_scenario(s, &BASE);
-        }
-        let key = recipe_key(s, &BASE);
-        self.executions += 1;
-        if let Some(point) = self.fork_points.get(&key) {
-            match point.fork(&s.name, s.duration) {
-                Ok(obs) => {
-                    self.forks_taken += 1;
-                    return obs;
-                }
-                Err(_) => return observe_scenario(s, &BASE),
-            }
-        }
-        // First branch of this recipe: one simulator pass produces both
-        // the observation and the fork point later branches reuse.
-        if self.fork_points.len() >= FORK_CACHE_LIMIT {
-            self.fork_points.clear();
-        }
-        match ForkPoint::capture_observing(s, &BASE, warmup) {
-            Ok((point, obs)) => {
-                self.fork_points.insert(key, point);
-                obs
-            }
-            Err(_) => observe_scenario(s, &BASE),
-        }
-    }
-
     /// Full checks for a scenario input: live base run, Exact diff against
     /// a sampled partner variant, replay cross-check, provenance check.
     /// Returns the base observation.
     fn check_scenario(&mut self, iteration: u64, s: &Scenario) -> crate::harness::RunObservation {
-        let obs = self.observe_base(s);
+        let obs = observe_scenario(s, &BASE);
+        self.executions += 1;
 
         let partner = PARTNERS[self.rng.gen_range(0usize..PARTNERS.len())];
         let (partner_trace, _) = run_scenario(s, partner);
@@ -476,8 +418,6 @@ pub fn run_fuzz(
         divergences: Vec::new(),
         executions: 0,
         repro_dir: repro_dir.map(Path::to_path_buf),
-        fork_points: std::collections::BTreeMap::new(),
-        forks_taken: 0,
         config,
     };
     // The starter corpus is part of the guided system; the blind baseline
@@ -512,7 +452,6 @@ pub fn run_fuzz(
     FuzzOutcome {
         iterations: ran,
         executions: fuzzer.executions,
-        forks: fuzzer.forks_taken,
         corpus: fuzzer.corpus,
         coverage: fuzzer.coverage,
         transitions: fuzzer.transitions,

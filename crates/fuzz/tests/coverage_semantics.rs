@@ -2,7 +2,7 @@
 //! who collected the coverage (live tap vs post-hoc fold), in what order
 //! maps were merged, or how many workers a fleet was sharded across.
 
-use hypertap_core::coverage::{CoverageMap, StreamCoverage};
+use hypertap_fuzz::coverage::{CoverageMap, StreamCoverage};
 use hypertap_fuzz::harness::fold_trace;
 use hypertap_hvsim::clock::Duration;
 use hypertap_replay::prelude::*;

@@ -25,14 +25,7 @@ fn render_corpus(outcome: &hypertap_fuzz::FuzzOutcome) -> Vec<(String, Vec<u8>)>
 }
 
 fn small_config(seed: u64, guided: bool) -> FuzzConfig {
-    FuzzConfig {
-        seed,
-        iterations: 6,
-        cap: Duration::from_millis(60),
-        guided,
-        deadline: None,
-        fork_warmup: None,
-    }
+    FuzzConfig { seed, iterations: 6, cap: Duration::from_millis(60), guided, deadline: None }
 }
 
 #[test]

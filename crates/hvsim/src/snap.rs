@@ -5,7 +5,7 @@
 //! structs, each module implements its own `save`/`load` against the small
 //! writer/reader pair defined here. The same pair carries the HTRC event
 //! traces, the HTRZ compressed wrapper, `.htfr` flight dumps, HTFL fleet
-//! archives, `.htsp` machine snapshots and `.htcp` campaign checkpoints.
+//! archives and `.htsp` machine snapshots.
 //!
 //! The wire format: a 4-byte magic plus varint version ([`SnapWriter::header`]),
 //! LEB128 varints for unsigned integers, zigzag + varint for signed ones,

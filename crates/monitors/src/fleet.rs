@@ -14,7 +14,6 @@ use hypertap_core::prelude::VmId;
 use hypertap_core::telemetry::VmProbe;
 use hypertap_hvsim::clock::{Duration, SimTime};
 use hypertap_hvsim::machine::RunExit;
-use hypertap_hvsim::snap::{SnapError, SnapReader, SnapWriter};
 
 /// A monitored VM enrolled in a fleet: a [`TapVm`] plus its campaign
 /// deadline and slice length.
@@ -56,33 +55,6 @@ impl FleetMember {
     /// The wrapped VM, immutably.
     pub fn vm(&self) -> &TapVm {
         &self.vm
-    }
-
-    /// Serializes the member for migration: the VM's `.htsp` snapshot plus
-    /// the member's own campaign progress. The slice length is workload
-    /// configuration and is not captured — the restore target is enrolled
-    /// with the same slice by [`FleetWorkload::build_vm`].
-    ///
-    /// [`FleetWorkload::build_vm`]: hypertap_core::fleet::FleetWorkload::build_vm
-    pub fn snapshot_member(&self) -> Result<Vec<u8>, SnapError> {
-        let mut w = SnapWriter::new();
-        w.bytes(&self.vm.snapshot()?);
-        w.varint(self.deadline.as_nanos());
-        w.boolean(self.halted);
-        w.boolean(self.done);
-        Ok(w.into_bytes())
-    }
-
-    /// Restores a [`FleetMember::snapshot_member`] blob into this member,
-    /// which must be freshly built from the same workload recipe.
-    pub fn restore_member(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(bytes);
-        let vm_bytes = r.bytes()?.to_vec();
-        self.vm.restore(&vm_bytes)?;
-        self.deadline = SimTime::from_nanos(r.varint()?);
-        self.halted = r.boolean()?;
-        self.done = r.boolean()?;
-        r.finish()
     }
 }
 
@@ -149,14 +121,6 @@ impl FleetVm for FleetMember {
 
     fn flight_dump(&mut self, reason: &str) -> Option<Vec<u8>> {
         Some(self.vm.flight_dump(reason))
-    }
-
-    fn snapshot(&mut self) -> Option<Vec<u8>> {
-        self.snapshot_member().ok()
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.restore_member(bytes).map_err(|e| e.to_string())
     }
 
     fn telemetry_probe(&mut self) -> Option<VmProbe> {

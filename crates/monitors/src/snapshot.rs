@@ -149,6 +149,31 @@ mod tests {
     }
 
     #[test]
+    fn one_snapshot_restores_into_independent_vms() {
+        // Two VMs restored from the same bytes share nothing: running one
+        // further leaves the other exactly at the snapshot, and both then
+        // reach the same state as the original run for the same time.
+        let mut original = monitored_vm();
+        original.run_for(Duration::from_millis(20));
+        let bytes = original.snapshot().unwrap();
+        let mut ahead = monitored_vm();
+        ahead.restore(&bytes).unwrap();
+        let mut behind = monitored_vm();
+        behind.restore(&bytes).unwrap();
+        ahead.run_for(Duration::from_millis(25));
+        assert_eq!(behind.snapshot().unwrap(), bytes, "running a sibling must not move this VM");
+        behind.run_for(Duration::from_millis(25));
+        original.run_for(Duration::from_millis(25));
+        let end = original.snapshot().unwrap();
+        assert_ne!(end, bytes);
+        assert_eq!(ahead.snapshot().unwrap(), end);
+        assert_eq!(behind.snapshot().unwrap(), end);
+        let findings = original.drain_findings();
+        assert_eq!(ahead.drain_findings(), findings);
+        assert_eq!(behind.drain_findings(), findings);
+    }
+
+    #[test]
     fn bad_magic_and_version_skew_are_structured_errors() {
         let vm = monitored_vm();
         let bytes = vm.snapshot().unwrap();

@@ -72,7 +72,20 @@ fn run_fleet_mode(args: &Args, vms: usize, seed: u64) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&[
+        "seed",
+        "fleet",
+        "workers-left",
+        "workers-right",
+        "cap-ms",
+        "scenarios",
+        "inject-divergence",
+        "pair",
+    ])
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let seed = args.get::<u64>("seed", 42);
     if args.has("fleet") {
         run_fleet_mode(&args, args.get::<usize>("fleet", 8), seed);

@@ -26,8 +26,8 @@ use crate::recorder::TraceRecorder;
 use crate::scenario::{build_scenario_vm, ConfigVariant, Scenario, BASE};
 use crate::trace::{Trace, TraceHeader};
 use hypertap_core::fleet::{
-    run_fleet, run_fleet_with_policy, run_vm_alone, FleetConfig, FleetReport, FleetVm,
-    FleetWorkload, RebalancePolicy, SliceOutcome, VmReport,
+    run_fleet, run_vm_alone, FleetConfig, FleetReport, FleetVm, FleetWorkload, SliceOutcome,
+    VmReport,
 };
 use hypertap_core::prelude::VmId;
 use hypertap_hvsim::clock::Duration;
@@ -104,29 +104,6 @@ impl FleetVm for RecordingMember {
         }
         report
     }
-
-    fn snapshot(&mut self) -> Option<Vec<u8>> {
-        // Member bytes (the VM's `.htsp` plus campaign progress) and the
-        // recorder's captured stream — the tap box itself is recipe state
-        // and is rebuilt, already attached, on the target worker.
-        let recorder = self.recorder.as_ref()?;
-        let member = self.member.snapshot_member().ok()?;
-        let mut w = SnapWriter::new();
-        w.bytes(&member);
-        w.bytes(&recorder.snapshot_records());
-        Some(w.into_bytes())
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = SnapReader::new(bytes);
-        let member = r.bytes().map_err(|e| e.to_string())?.to_vec();
-        let records = r.bytes().map_err(|e| e.to_string())?.to_vec();
-        r.finish().map_err(|e| e.to_string())?;
-        self.member.restore_member(&member).map_err(|e| e.to_string())?;
-        let recorder =
-            self.recorder.as_mut().ok_or_else(|| "recorder already drained".to_string())?;
-        recorder.restore_records(&records)
-    }
 }
 
 impl FleetWorkload for ScenarioFleet {
@@ -148,19 +125,6 @@ impl FleetWorkload for ScenarioFleet {
 /// Runs a scenario fleet of `vms` VMs on `workers` threads.
 pub fn run_scenario_fleet(fleet: &ScenarioFleet, vms: usize, workers: usize) -> FleetReport {
     run_fleet(Arc::new(fleet.clone()), FleetConfig::new(vms, workers))
-}
-
-/// Runs a scenario fleet under a mid-campaign [`RebalancePolicy`]: members
-/// are live-migrated between workers (snapshot on the source, restore on
-/// the target, trace records riding along) without changing any per-VM
-/// result — the migration determinism test proves it bit-for-bit.
-pub fn run_scenario_fleet_with_policy(
-    fleet: &ScenarioFleet,
-    vms: usize,
-    workers: usize,
-    policy: Arc<dyn RebalancePolicy>,
-) -> FleetReport {
-    run_fleet_with_policy(Arc::new(fleet.clone()), FleetConfig::new(vms, workers), policy)
 }
 
 /// Runs one fleet member alone, sequentially — the baseline every
@@ -326,28 +290,6 @@ mod tests {
         b.per_vm[1].payload = run_member_alone(&quick_fleet(0xD1FE), VmId(1)).payload;
         let div = diff_fleet_reports(&a, &b).expect("tampered run must diverge");
         assert_eq!(div.vm, VmId(1));
-    }
-
-    #[test]
-    fn forced_migrations_preserve_findings_and_traces_bit_for_bit() {
-        // The ISSUE's migration determinism test: an 8-VM campaign with
-        // forced rebalances (every member migrates at fixed slice indices)
-        // must reproduce the 1-worker no-migration run exactly — findings,
-        // delivery stats, and recorded HTRC trace bytes.
-        use hypertap_core::fleet::RotateEvery;
-        let fleet = quick_fleet(0x1417_ECAF);
-        let vms = 8;
-        let baseline = run_scenario_fleet(&fleet, vms, 1);
-        assert_eq!(baseline.per_vm.len(), vms);
-        for workers in [1usize, 2, 4, 8] {
-            let migrated =
-                run_scenario_fleet_with_policy(&fleet, vms, workers, Arc::new(RotateEvery(1)));
-            assert_eq!(
-                diff_fleet_reports(&baseline, &migrated),
-                None,
-                "workers={workers}: migration must not change any per-VM output"
-            );
-        }
     }
 
     #[test]

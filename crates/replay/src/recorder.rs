@@ -50,33 +50,6 @@ impl TraceRecorder {
         let records = std::mem::take(&mut *self.shared.lock().expect("recorder buffer"));
         Trace { header: self.header, records }
     }
-
-    /// Serializes everything captured so far as HTRC trace bytes — the
-    /// recorder's contribution to a VM migration blob. The EM's tap box is
-    /// deliberately not serialized (it is recipe state); only the shared
-    /// record buffer travels.
-    pub fn snapshot_records(&self) -> Vec<u8> {
-        let records = self.shared.lock().expect("recorder buffer").clone();
-        Trace { header: self.header.clone(), records }.encode()
-    }
-
-    /// Replaces the captured buffer with records from
-    /// [`TraceRecorder::snapshot_records`]. The recorder keeps its own
-    /// (recipe-built) header; the snapshot's header must match it.
-    pub fn restore_records(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let trace = Trace::decode(bytes).map_err(|e| e.to_string())?;
-        if trace.header != self.header {
-            return Err(format!(
-                "migrated trace header mismatch: got {}/{}, want {}/{}",
-                trace.header.scenario,
-                trace.header.config,
-                self.header.scenario,
-                self.header.config
-            ));
-        }
-        *self.shared.lock().expect("recorder buffer") = trace.records;
-        Ok(())
-    }
 }
 
 struct RecorderTap {

@@ -49,3 +49,25 @@ fn well_formed_inject_divergence_runs_the_self_test() {
         "stdout must report the self-test at the requested index, got: {stdout}"
     );
 }
+
+#[test]
+fn unknown_flags_are_rejected() {
+    let out = conformance().args(["--scenarios", "1", "--scenario", "1"]).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a misspelled flag must be a usage error, got {:?}\nstdout: {}\nstderr: {stderr}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(stderr.contains("unknown flag --scenario "), "{stderr}");
+    assert!(
+        stderr.contains(
+            "--seed, --fleet, --workers-left, --workers-right, --cap-ms, --scenarios, \
+             --inject-divergence, --pair"
+        ),
+        "usage must list every documented flag, got: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no conformance run may start");
+}

@@ -5,9 +5,11 @@
 //!
 //! The property sweeps random scenarios (workload mixes, lock faults,
 //! rootkit insertions) across vCPU counts 1–4 and software TLB on/off, and
-//! compares *everything* the monitoring stack produces: findings (with their provenance [`EventRef`]s), the
-//! recorded HTRC trace bytes, the EM delivery counters, and the merged
-//! metrics snapshot.
+//! compares *everything* the monitoring stack produces: findings (with
+//! their provenance [`EventRef`]s), the recorded HTRC trace bytes, the
+//! `.htfr` flight dump (the restored flight ring must continue the
+//! uninterrupted one), the EM delivery counters, and the merged metrics
+//! snapshot.
 //!
 //! Durations are capped at 40 ms per case; CI runs a reduced case count
 //! via `PROPTEST_CASES`.
@@ -37,6 +39,7 @@ fn variant_for(tlb: bool) -> ConfigVariant {
 struct Outcome {
     trace: Vec<u8>,
     findings: Vec<Finding>,
+    flight: Vec<u8>,
     stats: DeliveryStats,
     metrics: MetricsRegistry,
 }
@@ -54,6 +57,7 @@ fn collect(mut vm: hypertap_monitors::TapVm, recorder: TraceRecorder) -> Outcome
     Outcome {
         trace: recorder.finish().encode(),
         findings: vm.drain_findings(),
+        flight: vm.flight_dump("snapprop"),
         stats: vm.machine.hypervisor().em.stats(),
         metrics: vm.metrics_snapshot(),
     }
@@ -120,6 +124,10 @@ proptest! {
             &interrupted.findings, &control.findings,
             "{} vcpus={} tlb={} boundary={}: findings (with provenance) must match",
             s.name, vcpus, tlb, boundary
+        );
+        prop_assert_eq!(
+            &interrupted.flight, &control.flight,
+            "{}: .htfr flight dump bytes must match", s.name
         );
         prop_assert_eq!(&interrupted.stats, &control.stats, "{}: delivery stats", s.name);
         prop_assert_eq!(

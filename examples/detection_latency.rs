@@ -76,7 +76,10 @@ fn run_trial(trial: u64, threshold: Duration, lat: &mut DetectionLatency) -> boo
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse_known(&["trials", "assert"]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let trials: u64 = args.get("trials", 5);
     let threshold = Duration::from_secs(2);
     let em_tick = Duration::from_millis(1); // TapVm builder default

@@ -30,7 +30,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    let args = Args::parse();
+    let args =
+        Args::parse_known(&["vms", "workers", "serve-ms", "addr-file"]).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        });
     let vms: usize = args.get("vms", 8);
     let workers: usize = args.get("workers", 3);
     let serve_ms: u64 = args.get("serve-ms", 0);

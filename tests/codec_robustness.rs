@@ -1,10 +1,9 @@
-//! One robustness harness for all six binary decoders.
+//! One robustness harness for all five binary decoders.
 //!
 //! Every format HyperTap reads back registers a sample and its decoder in
 //! [`formats`]: HTRC traces, the HTRZ compressed wrapper, HTFL fleet
-//! archives, `.htfr` flight dumps, `.htsp` machine snapshots and `.htcp`
-//! campaign checkpoints. All of them sit on `hypertap_hvsim::snap`, so
-//! one table checks them all. For every format:
+//! archives, `.htfr` flight dumps and `.htsp` machine snapshots. All of
+//! them sit on `hypertap_hvsim::snap`, so one table checks them all. For every format:
 //!
 //! * every proper prefix of the sample, and the sample plus a trailing
 //!   byte, is a structured error (on samples over [`EXHAUSTIVE`] bytes,
@@ -19,11 +18,6 @@ use hypertap_core::audit::{Finding, Severity};
 use hypertap_core::event::{Event, EventKind};
 use hypertap_core::flight::FlightRecorder;
 use hypertap_core::prelude::VmId;
-use hypertap_faultinject::campaign::default_campaign;
-use hypertap_faultinject::checkpoint::{
-    campaign_fingerprint, CampaignCheckpoint, HTCP_MAGIC, HTCP_VERSION,
-};
-use hypertap_faultinject::spec::{Outcome, TrialResult};
 use hypertap_hvsim::clock::SimTime;
 use hypertap_hvsim::exit::VcpuSnapshot;
 use hypertap_hvsim::mem::Gpa;
@@ -92,43 +86,6 @@ fn flight_sample() -> Vec<u8> {
     fr.dump_bytes("robustness")
 }
 
-fn checkpoint_sample() -> Vec<u8> {
-    let cfg = default_campaign(47);
-    let specs = cfg.specs();
-    let outcomes = [
-        Outcome::NotActivated,
-        Outcome::NotManifested,
-        Outcome::NotDetected,
-        Outcome::PartialHang,
-        Outcome::FullHang,
-    ];
-    let completed = outcomes
-        .iter()
-        .zip(&specs)
-        .enumerate()
-        .map(|(i, (&outcome, spec))| {
-            let at = (i > 0).then_some(1_000 * i as u64);
-            let result = TrialResult {
-                spec: spec.clone(),
-                outcome,
-                activations: i as u64,
-                activated_at_ns: at,
-                first_alarm_ns: outcome.detected().then_some(5_000),
-                detection_latency_ns: outcome.detected().then_some(4_000),
-                full_hang_at_ns: (outcome == Outcome::FullHang).then_some(9_000),
-                full_hang_latency_ns: (outcome == Outcome::FullHang).then_some(8_000),
-            };
-            (2 * i as u64, result)
-        })
-        .collect();
-    CampaignCheckpoint {
-        fingerprint: campaign_fingerprint(&cfg),
-        total: specs.len() as u64,
-        completed,
-    }
-    .encode()
-}
-
 fn formats() -> Vec<Format> {
     let htrz = read(golden_path("three_ninjas"));
     let htrc = decompress(&htrz).expect("golden trace decompresses");
@@ -191,17 +148,6 @@ fn formats() -> Vec<Format> {
                     w.varint(u64::MAX); // record count
                 }),
             ],
-        },
-        Format {
-            name: "HTCP".into(),
-            sample: checkpoint_sample(),
-            decode: Box::new(|b| CampaignCheckpoint::decode(b).map(drop)),
-            version_at: Some(4),
-            huge: vec![blob(HTCP_MAGIC, HTCP_VERSION, |w| {
-                w.varint(0); // fingerprint
-                w.varint(u64::MAX); // total trials
-                w.varint(u64::from(u32::MAX)); // completed trials, within the total
-            })],
         },
     ];
     // The smallest golden snapshot is checked exhaustively, a large one
