@@ -13,21 +13,18 @@
 //!   --save PATH  write per-trial results as JSON lines (fig5 reads these)
 //!   --quick      tiny smoke campaign (stride 94, Hanoi+make -j2 only)
 
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 use hypertap_bench::report::{pct, table};
 use hypertap_faultinject::campaign::{default_campaign, fig4_rows, run_campaign};
 use hypertap_faultinject::spec::Workload;
 use std::io::Write as _;
 
 fn main() {
-    let args =
-        Args::parse_known(&["stride", "seed", "threads", "save", "quick"]).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        });
-    let mut cfg = default_campaign(args.get("stride", 16));
-    cfg.seed = args.get("seed", 42);
-    cfg.threads = args.get("threads", 0);
+    let args = Args::parse_known(&["stride", "seed", "threads", "save", "quick"])
+        .unwrap_or_else(usage_exit);
+    let mut cfg = default_campaign(args.get("stride", 16).unwrap_or_else(usage_exit));
+    cfg.seed = args.get("seed", 42).unwrap_or_else(usage_exit);
+    cfg.threads = args.get("threads", 0).unwrap_or_else(usage_exit);
     if args.has("quick") {
         cfg = default_campaign(94);
         cfg.workloads = vec![Workload::Hanoi, Workload::MakeJ2];

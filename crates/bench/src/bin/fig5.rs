@@ -10,18 +10,18 @@
 //!   --load PATH  reuse results saved by `fig4 --save PATH`
 //!   --stride N / --seed S / --threads N / --quick  as in fig4
 
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 use hypertap_bench::report::cdf_table;
 use hypertap_faultinject::campaign::{default_campaign, fig5_latencies, run_campaign};
 use hypertap_faultinject::spec::{TrialResult, Workload};
 use std::io::BufRead as _;
 
 fn main() {
-    let args =
-        Args::parse_known(&["load", "stride", "seed", "threads", "quick"]).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        });
+    let args = Args::parse_known(&["load", "stride", "seed", "threads", "quick"])
+        .unwrap_or_else(usage_exit);
+    let stride = args.get("stride", 16).unwrap_or_else(usage_exit);
+    let seed = args.get("seed", 42).unwrap_or_else(usage_exit);
+    let threads = args.get("threads", 0).unwrap_or_else(usage_exit);
     let results: Vec<TrialResult> = if let Some(path) = args.get_str("load") {
         let f = std::fs::File::open(path).expect("open results file");
         std::io::BufReader::new(f)
@@ -29,9 +29,9 @@ fn main() {
             .map(|l| serde_json::from_str(&l.expect("read line")).expect("parse result"))
             .collect()
     } else {
-        let mut cfg = default_campaign(args.get("stride", 16));
-        cfg.seed = args.get("seed", 42);
-        cfg.threads = args.get("threads", 0);
+        let mut cfg = default_campaign(stride);
+        cfg.seed = seed;
+        cfg.threads = threads;
         if args.has("quick") {
             cfg = default_campaign(94);
             cfg.workloads = vec![Workload::Hanoi, Workload::MakeJ2];

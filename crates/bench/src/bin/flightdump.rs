@@ -20,7 +20,7 @@
 //! findings and auditor state transitions, with timestamps in simulated
 //! microseconds.
 
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 use hypertap_core::prelude::FlightDump;
 use hypertap_guestos::fault::{FaultType, SingleFault};
 use hypertap_guestos::kpath;
@@ -66,16 +66,14 @@ fn main() {
         "follow-ms",
         "poll-ms",
     ])
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
+    .unwrap_or_else(usage_exit);
+    let limit_ms: u64 = args.get("follow-ms", 0).unwrap_or_else(usage_exit);
+    let poll_ms: u64 = args.get("poll-ms", 250).unwrap_or_else(usage_exit);
     if let Some(dir) = args.get_str("follow") {
         // Tail the directory until --follow-ms elapses (0 = forever).
-        let limit_ms: u64 = args.get("follow-ms", 0);
         let deadline =
             if limit_ms == 0 { None } else { Some(std::time::Duration::from_millis(limit_ms)) };
-        let poll = std::time::Duration::from_millis(args.get("poll-ms", 250));
+        let poll = std::time::Duration::from_millis(poll_ms);
         let mut stdout = std::io::stdout();
         match hypertap_bench::follow::follow_dir(
             std::path::Path::new(dir),

@@ -15,18 +15,15 @@
 //!   --trials N   independent attacks per scenario (default 60; paper: 300)
 //!   --seed S     base seed (default 7)
 
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 use hypertap_bench::ninja_scenarios::{detection_probability, AttackStyle, NinjaVariant};
 use hypertap_bench::report::{bar, pct, table};
 use hypertap_hvsim::clock::Duration;
 
 fn main() {
-    let args = Args::parse_known(&["trials", "seed"]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
-    let trials: usize = args.get("trials", 60);
-    let seed: u64 = args.get("seed", 7);
+    let args = Args::parse_known(&["trials", "seed"]).unwrap_or_else(usage_exit);
+    let trials: usize = args.get("trials", 60).unwrap_or_else(usage_exit);
+    let seed: u64 = args.get("seed", 7).unwrap_or_else(usage_exit);
     println!("The Three Ninjas — detection probability ({trials} attacks per scenario)\n");
 
     // O-Ninja with continuous scanning vs process-list spamming. The base

@@ -12,7 +12,7 @@
 //!   --poll-us N   prober polling gap in microseconds (default 200)
 
 use hypertap_attacks::side_channel::{IntervalEstimate, SideChannelProber, WAKE_TAG};
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 use hypertap_bench::report::table;
 use hypertap_guestos::program::{FnProgram, UserOp, UserView};
 use hypertap_guestos::syscalls::Sysno;
@@ -85,12 +85,9 @@ fn measure_interval(interval_s: u64, samples: u64, poll_gap_ns: u64) -> Option<I
 }
 
 fn main() {
-    let args = Args::parse_known(&["samples", "poll-us"]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
-    let samples: u64 = args.get("samples", 12);
-    let poll_gap_ns: u64 = args.get::<u64>("poll-us", 200) * 1_000;
+    let args = Args::parse_known(&["samples", "poll-us"]).unwrap_or_else(usage_exit);
+    let samples: u64 = args.get("samples", 12).unwrap_or_else(usage_exit);
+    let poll_gap_ns: u64 = args.get::<u64>("poll-us", 200).unwrap_or_else(usage_exit) * 1_000;
 
     println!("Table III — predicting Ninja's monitoring interval (seconds)\n");
     let mut rows = Vec::new();

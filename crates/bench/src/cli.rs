@@ -14,8 +14,9 @@ impl Args {
     /// Parses the process's arguments. `--key value` pairs become flags;
     /// bare `--key` (followed by another flag or nothing) become switches.
     /// Only the names in `known` (without the `--`) are accepted: any other
-    /// flag is an error naming it, so a typo fails instead of silently
-    /// running the default.
+    /// flag, and any argument that is neither a flag nor a flag's value, is
+    /// an error naming it, so a typo fails instead of silently running the
+    /// default.
     pub fn parse_known(known: &[&str]) -> Result<Args, String> {
         Args::parse_from(std::env::args().skip(1), known)
     }
@@ -47,15 +48,28 @@ impl Args {
                     i += 1;
                 }
             } else {
-                i += 1;
+                return Err(format!("unexpected argument {item:?} (flags are --name value)"));
             }
         }
         Ok(out)
     }
 
-    /// A flag's value parsed into any `FromStr` type, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// A flag's value parsed into any `FromStr` type, or `default` when the
+    /// flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// A value that does not parse is an error naming the flag and the
+    /// value, never a silent fall-back to `default`.
+    pub fn get<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr,
+        T::Err: std::fmt::Display,
+    {
+        match self.flags.get(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|e| format!("invalid value {v:?} for --{key}: {e}")),
+        }
     }
 
     /// A flag's raw string value.
@@ -67,6 +81,14 @@ impl Args {
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key) || self.flags.contains_key(key)
     }
+}
+
+/// Prints a usage error and exits with status 2, the experiment binaries'
+/// usage exit code. Generic over the return type so it fits
+/// `unwrap_or_else` on any parse result.
+pub fn usage_exit<T>(message: String) -> T {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -82,17 +104,25 @@ mod tests {
     #[test]
     fn parses_flags_and_switches() {
         let a = args(&["--seed", "7", "--full", "--out", "x.json"]).unwrap();
-        assert_eq!(a.get::<u64>("seed", 0), 7);
+        assert_eq!(a.get::<u64>("seed", 0), Ok(7));
         assert!(a.has("full"));
         assert_eq!(a.get_str("out"), Some("x.json"));
         assert!(!a.has("missing"));
-        assert_eq!(a.get::<u64>("missing", 42), 42);
+        assert_eq!(a.get::<u64>("missing", 42), Ok(42));
     }
 
     #[test]
-    fn bad_values_fall_back_to_default() {
-        let a = args(&["--seed", "notanumber"]).unwrap();
-        assert_eq!(a.get::<u64>("seed", 5), 5);
+    fn bad_values_are_errors() {
+        let a = args(&["--seed", "1O0"]).unwrap();
+        let err = a.get::<u64>("seed", 5).unwrap_err();
+        assert!(err.contains("\"1O0\" for --seed"), "{err}");
+    }
+
+    #[test]
+    fn positional_arguments_are_errors() {
+        let err = args(&["--seed", "7", "100"]).unwrap_err();
+        assert!(err.contains("unexpected argument \"100\""), "{err}");
+        assert!(args(&["stray", "--full"]).is_err());
     }
 
     #[test]

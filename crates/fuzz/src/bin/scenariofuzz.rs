@@ -28,15 +28,6 @@ use hypertap_replay::prelude::*;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-fn parse_u64(args: &Args, name: &str, default: u64) -> Result<u64, String> {
-    match args.get_str(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|e| format!("--{name} expects an unsigned integer, got {v:?}: {e}")),
-    }
-}
-
 fn print_outcome(label: &str, out: &FuzzOutcome) {
     let scenarios = out
         .corpus
@@ -135,28 +126,15 @@ fn main() -> ExitCode {
             return ExitCode::from(3);
         }
     };
-    let seed = match parse_u64(&args, "seed", 42) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(3);
-        }
-    };
-    let iters = match parse_u64(&args, "iters", 25) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(3);
-        }
-    };
-    let cap_ms = match parse_u64(&args, "cap-ms", 100) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(3);
-        }
-    };
-    let seconds = match parse_u64(&args, "seconds", 0) {
+    let numbers = (|| -> Result<_, String> {
+        Ok((
+            args.get::<u64>("seed", 42)?,
+            args.get::<u64>("iters", 25)?,
+            args.get::<u64>("cap-ms", 100)?,
+            args.get::<u64>("seconds", 0)?,
+        ))
+    })();
+    let (seed, iters, cap_ms, seconds) = match numbers {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");

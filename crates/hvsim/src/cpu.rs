@@ -491,6 +491,7 @@ impl<'a> CpuCtx<'a> {
             t.period = Some(period);
             t.next_due = now + period;
         }
+        self.vm.wake_gen += 1;
     }
 
     /// Sends an inter-processor interrupt to another vCPU. Raises an

@@ -3,9 +3,35 @@
 //! A [`Machine`] pairs one VM's state ([`VmState`]) with a [`Hypervisor`]
 //! implementation (in the HyperTap stack, the KVM model carrying the Event
 //! Forwarder). Guest software is supplied as a [`GuestProgram`] and driven by
-//! the deterministic run loop: at every iteration the vCPU with the smallest
-//! local clock executes one bounded step, giving a conservative discrete-
-//! event interleaving of multiprocessor guests.
+//! the deterministic run loop: the vCPU with the smallest `(clock, id)`
+//! executes the next bounded step, giving a conservative discrete-event
+//! interleaving of multiprocessor guests.
+//!
+//! # Bursts
+//!
+//! Choosing the vCPU and firing due events before every step would cost
+//! more host time than the step itself, so [`Machine::run_until`] does it
+//! once per *burst*. It selects the vCPU, fires host timers, APIC timers and
+//! scheduled IRQs only if the earliest wake-up ([`VmState::next_wake`]) is
+//! at or before that vCPU's clock, and computes a horizon: the earliest of
+//! the next wake-up, the deadline and the point where the runner-up vCPU's
+//! `(clock, id)` would win. It then steps the chosen vCPU until a step
+//!
+//! - brings its clock to the horizon,
+//! - halts it,
+//! - takes the VM out of `Running` (pause or shutdown), or
+//! - changes the wake-up schedule: a scheduled IRQ, a new host timer, an
+//!   APIC timer programmed or a state restore bumps a generation counter in
+//!   [`VmState`], and a changed generation ends the burst.
+//!
+//! Until then a one-step-per-selection loop would have chosen the same vCPU
+//! with nothing to fire, so bursts change host work only: the step sequence,
+//! and with it every simulated result, is identical. Ending a burst early is
+//! always safe (the next burst re-selects). The cached runner-up relies on
+//! one invariant, checked by a `debug_assert!` after every step: a step
+//! never moves another vCPU's clock backwards (moving one forward, as
+//! parking a vCPU does, only ends the burst sooner). The test-only
+//! reference loop in `machine/equivalence.rs` pins the equivalence.
 
 use crate::clock::{Duration, SimTime};
 use crate::cost::CostModel;
@@ -47,6 +73,16 @@ impl VmLifecycle {
             VmLifecycle::Running => 1,
             VmLifecycle::Paused => 2,
             VmLifecycle::Stopped => 3,
+        }
+    }
+
+    /// How a run ends in this phase, or `None` while the guest may step
+    /// (`Uninit` or `Running`).
+    fn run_exit(self) -> Option<RunExit> {
+        match self {
+            VmLifecycle::Paused => Some(RunExit::Paused),
+            VmLifecycle::Stopped => Some(RunExit::Shutdown),
+            VmLifecycle::Uninit | VmLifecycle::Running => None,
         }
     }
 
@@ -156,6 +192,11 @@ pub struct VmState {
     timers: Vec<HostTimer>,
     irq_schedule: BinaryHeap<ScheduledIrq>,
     pub(crate) apic_timers: Vec<ApicTimer>,
+    /// Bumped whenever the wake-up schedule may have moved earlier (a
+    /// scheduled IRQ, a new host timer, an APIC timer programmed, a
+    /// restore): a burst that sees it change ends, because the wake-up time
+    /// it computed may be stale. Host-side only; never snapshotted.
+    pub(crate) wake_gen: u64,
     tlbs: Vec<Tlb>,
     tlb_enabled: bool,
 }
@@ -175,6 +216,7 @@ impl VmState {
             timers: Vec::new(),
             irq_schedule: BinaryHeap::new(),
             apic_timers: vec![ApicTimer::default(); config.vcpus],
+            wake_gen: 0,
             tlbs: (0..config.vcpus).map(|_| Tlb::new()).collect(),
             tlb_enabled: config.tlb_enabled,
         }
@@ -314,6 +356,7 @@ impl VmState {
         let id = TimerId(self.timers.len());
         let next_due = self.now() + period;
         self.timers.push(HostTimer { period, next_due, cancelled: false });
+        self.wake_gen += 1;
         id
     }
 
@@ -327,6 +370,7 @@ impl VmState {
     /// simulated time `due`.
     pub fn schedule_irq(&mut self, due: SimTime, vcpu: VcpuId, vector: u8) {
         self.irq_schedule.push(ScheduledIrq { due, vcpu, vector });
+        self.wake_gen += 1;
     }
 
     /// Queues an interrupt for immediate delivery to `vcpu` (it is taken at
@@ -342,13 +386,32 @@ impl VmState {
         }
     }
 
-    /// The earliest pending wake-up event (host timer, APIC timer or
-    /// scheduled IRQ), if any.
-    fn next_event_time(&self) -> Option<SimTime> {
+    /// The earliest pending wake-up (host timer, APIC timer or scheduled
+    /// IRQ), if any: the run loop fires nothing before it, so a vCPU whose
+    /// clock stays below it runs undisturbed.
+    pub fn next_wake(&self) -> Option<SimTime> {
         let timer = self.timers.iter().filter(|t| !t.cancelled).map(|t| t.next_due).min();
         let apic = self.apic_timers.iter().filter(|t| t.period.is_some()).map(|t| t.next_due).min();
         let irq = self.irq_schedule.peek().map(|s| s.due);
         [timer, apic, irq].into_iter().flatten().min()
+    }
+
+    /// The vCPU the run loop steps next — the smallest `(clock, id)` — and
+    /// the runner-up's `(clock, id)` (`None` with one vCPU).
+    fn select(&self) -> (VcpuId, Option<(SimTime, usize)>) {
+        let key = |v: &Vcpu| (v.clock, v.id().0);
+        let mut best = key(&self.vcpus[0]);
+        let mut runner_up = None;
+        for v in &self.vcpus[1..] {
+            let k = key(v);
+            if k < best {
+                runner_up = Some(best);
+                best = k;
+            } else if runner_up.is_none_or(|r| k < r) {
+                runner_up = Some(k);
+            }
+        }
+        (VcpuId(best.1), runner_up)
     }
 
     fn deliver_due_irqs(&mut self, now: SimTime) {
@@ -426,6 +489,7 @@ impl VmState {
     /// mismatch; the VM may be partially overwritten in that case and should
     /// be discarded.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.wake_gen += 1;
         let off = r.offset();
         self.lifecycle = VmLifecycle::from_tag(r.byte()?)
             .ok_or(SnapError::BadValue { offset: off, what: "lifecycle" })?;
@@ -563,7 +627,9 @@ impl<H: Hypervisor> Machine<H> {
         (self.vm, self.hv)
     }
 
-    fn fire_due_host_timers(&mut self, now: SimTime) {
+    /// Fires every host timer, APIC timer and scheduled IRQ due at or
+    /// before `now`, in that order.
+    fn fire_due(&mut self, now: SimTime) {
         for i in 0..self.vm.timers.len() {
             loop {
                 let t = &self.vm.timers[i];
@@ -576,98 +642,127 @@ impl<H: Hypervisor> Machine<H> {
                 self.hv.on_timer(&mut self.vm, TimerId(i), due);
             }
         }
+        self.vm.fire_due_apic_timers(now);
+        self.vm.deliver_due_irqs(now);
     }
 
     /// Runs the guest until `deadline` (exclusive) or an earlier stop cause.
     pub fn run_until(&mut self, guest: &mut dyn GuestProgram, deadline: SimTime) -> RunExit {
         loop {
-            match self.vm.lifecycle {
-                VmLifecycle::Stopped => return RunExit::Shutdown,
-                VmLifecycle::Paused => return RunExit::Paused,
-                VmLifecycle::Uninit => self.vm.lifecycle = VmLifecycle::Running,
-                VmLifecycle::Running => {}
+            match self.vm.lifecycle.run_exit() {
+                Some(exit) => return exit,
+                None => self.vm.lifecycle = VmLifecycle::Running,
             }
-            // Pick the vCPU with the smallest local clock.
-            let vcpu_id = self
-                .vm
-                .vcpus
-                .iter()
-                .min_by_key(|v| (v.clock, v.id().0))
-                .map(|v| v.id())
-                .expect("at least one vCPU");
+            let (vcpu_id, runner_up) = self.vm.select();
             let now = self.vm.vcpus[vcpu_id.0].clock;
             if now >= deadline {
                 return RunExit::Deadline;
             }
-
-            self.fire_due_host_timers(now);
-            self.vm.fire_due_apic_timers(now);
-            self.vm.deliver_due_irqs(now);
-            match self.vm.lifecycle {
-                VmLifecycle::Stopped => return RunExit::Shutdown,
-                VmLifecycle::Paused => return RunExit::Paused,
-                VmLifecycle::Uninit | VmLifecycle::Running => {}
+            let mut wake = self.vm.next_wake();
+            if wake.is_some_and(|t| t <= now) {
+                self.fire_due(now);
+                if let Some(exit) = self.vm.lifecycle.run_exit() {
+                    return exit;
+                }
+                wake = self.vm.next_wake();
             }
 
             if self.vm.vcpus[vcpu_id.0].halted {
                 // Skip idle time to the next wake-up event.
-                match self.vm.next_event_time() {
-                    Some(t) => {
-                        let target = t.max(now).min(deadline);
-                        if target == now && t <= now {
-                            // An event at `now` was just delivered; re-check halt.
-                            if self.vm.vcpus[vcpu_id.0].halted {
-                                // Nothing woke this vCPU; let another run.
-                                self.vm.vcpus[vcpu_id.0].clock = now + Duration::from_nanos(1);
-                            }
-                            continue;
-                        }
-                        self.vm.vcpus[vcpu_id.0].clock = target;
-                        continue;
-                    }
-                    None => {
-                        // No future events can wake anyone.
-                        if self.vm.vcpus.iter().all(|v| v.halted) {
-                            return RunExit::AllIdle;
-                        }
-                        self.vm.vcpus[vcpu_id.0].clock = deadline;
-                        continue;
-                    }
-                }
+                self.vm.vcpus[vcpu_id.0].clock = match wake {
+                    // An event at `now` was just delivered but did not wake
+                    // this vCPU; let another run.
+                    Some(t) if t <= now => now + Duration::from_nanos(1),
+                    Some(t) => t.min(deadline),
+                    // No future events can wake anyone.
+                    None if self.vm.vcpus.iter().all(|v| v.halted) => return RunExit::AllIdle,
+                    None => deadline,
+                };
+                continue;
             }
 
-            let mut cpu = CpuCtx::new(&mut self.vm, &mut self.hv, vcpu_id);
-            match guest.step(&mut cpu) {
-                StepOutcome::Continue => {}
-                StepOutcome::Shutdown => {
-                    self.vm.lifecycle = VmLifecycle::Stopped;
-                    return RunExit::Shutdown;
-                }
+            let horizon = wake.map_or(deadline, |t| t.min(deadline));
+            let (_, outcome) = self.burst(guest, vcpu_id, runner_up, horizon, usize::MAX);
+            if outcome == StepOutcome::Shutdown {
+                self.vm.lifecycle = VmLifecycle::Stopped;
+                return RunExit::Shutdown;
             }
         }
     }
 
-    /// Runs exactly `n` guest steps (testing convenience; ignores halts and
-    /// pauses, always stepping the earliest-clock vCPU).
+    /// Runs exactly `n` guest steps (testing convenience; ignores halts,
+    /// pauses and timers, always stepping the earliest-clock vCPU).
     pub fn run_steps(&mut self, guest: &mut dyn GuestProgram, n: usize) {
         if self.vm.lifecycle == VmLifecycle::Uninit {
             self.vm.lifecycle = VmLifecycle::Running;
         }
-        for _ in 0..n {
-            let vcpu_id = self
-                .vm
-                .vcpus
-                .iter()
-                .min_by_key(|v| (v.clock, v.id().0))
-                .map(|v| v.id())
-                .expect("at least one vCPU");
-            let mut cpu = CpuCtx::new(&mut self.vm, &mut self.hv, vcpu_id);
-            if guest.step(&mut cpu) == StepOutcome::Shutdown {
+        let mut left = n;
+        while left > 0 {
+            let (vcpu_id, runner_up) = self.vm.select();
+            let (steps, outcome) = self.burst(guest, vcpu_id, runner_up, SimTime::FAR_FUTURE, left);
+            if outcome == StepOutcome::Shutdown {
                 break;
+            }
+            left -= steps;
+        }
+    }
+
+    /// Steps `vcpu` for as long as the one-step-per-selection loop would
+    /// keep choosing it: at most `max_steps` steps, ending after the one
+    /// that brings its clock to `horizon` or past the runner-up's
+    /// `(clock, id)`, halts it, takes the VM out of `Running`, changes the
+    /// wake-up schedule, or shuts the guest down. Returns the steps taken
+    /// and the last step's outcome.
+    fn burst(
+        &mut self,
+        guest: &mut dyn GuestProgram,
+        vcpu_id: VcpuId,
+        runner_up: Option<(SimTime, usize)>,
+        horizon: SimTime,
+        max_steps: usize,
+    ) -> (usize, StepOutcome) {
+        // `vcpu_id` stays the smallest `(clock, id)` while its clock is
+        // below the runner-up's, or equal to it with the smaller id.
+        let horizon = match runner_up {
+            Some((clock, id)) if vcpu_id.0 < id => {
+                horizon.min(clock.checked_add(Duration::from_nanos(1)).unwrap_or(clock))
+            }
+            Some((clock, _)) => horizon.min(clock),
+            None => horizon,
+        };
+        let wake_gen = self.vm.wake_gen;
+        let mut steps = 0;
+        loop {
+            let mut cpu = CpuCtx::new(&mut self.vm, &mut self.hv, vcpu_id);
+            let outcome = guest.step(&mut cpu);
+            steps += 1;
+            // The cached runner-up is only a lower bound on the other
+            // vCPUs' keys if no step moves another vCPU's clock backwards.
+            debug_assert!(
+                runner_up.is_none_or(|r| self
+                    .vm
+                    .vcpus
+                    .iter()
+                    .filter(|v| v.id() != vcpu_id)
+                    .all(|v| (v.clock, v.id().0) >= r)),
+                "a step on {vcpu_id:?} moved another vCPU's clock backwards"
+            );
+            let v = &self.vm.vcpus[vcpu_id.0];
+            if outcome == StepOutcome::Shutdown
+                || steps == max_steps
+                || v.clock >= horizon
+                || v.halted
+                || self.vm.lifecycle != VmLifecycle::Running
+                || self.vm.wake_gen != wake_gen
+            {
+                return (steps, outcome);
             }
         }
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -38,7 +38,7 @@
 //! delivery stats and recorded trace must match byte for byte — the
 //! fleet determinism contract under real sharding.
 
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 use hypertap_hvsim::clock::Duration;
 use hypertap_replay::diff::{diff_traces, DiffPolicy};
 use hypertap_replay::fleet::{fleet_conformance_pair, ScenarioFleet};
@@ -49,9 +49,9 @@ use hypertap_replay::scenario::{
 };
 
 fn run_fleet_mode(args: &Args, vms: usize, seed: u64) {
-    let workers_left = args.get::<usize>("workers-left", 1);
-    let workers_right = args.get::<usize>("workers-right", 8);
-    let cap_ms = args.get::<u64>("cap-ms", 60);
+    let workers_left = args.get::<usize>("workers-left", 1).unwrap_or_else(usage_exit);
+    let workers_right = args.get::<usize>("workers-right", 8).unwrap_or_else(usage_exit);
+    let cap_ms = args.get::<u64>("cap-ms", 60).unwrap_or_else(usage_exit);
     println!("== HyperTap fleet conformance ==");
     println!(
         "{vms} VMs   base seed: {seed}   workers: {workers_left} vs {workers_right}   \
@@ -82,16 +82,13 @@ fn main() {
         "inject-divergence",
         "pair",
     ])
-    .unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
-    let seed = args.get::<u64>("seed", 42);
+    .unwrap_or_else(usage_exit);
+    let seed = args.get::<u64>("seed", 42).unwrap_or_else(usage_exit);
     if args.has("fleet") {
-        run_fleet_mode(&args, args.get::<usize>("fleet", 8), seed);
+        run_fleet_mode(&args, args.get::<usize>("fleet", 8).unwrap_or_else(usage_exit), seed);
         return;
     }
-    let scenarios = args.get::<u64>("scenarios", 25);
+    let scenarios = args.get::<u64>("scenarios", 25).unwrap_or_else(usage_exit);
     // A malformed index must not silently degrade to 0: the self-test
     // would then "pass" while testing a different record than asked for.
     let inject = args.get_str("inject-divergence").map(|v| match v.parse::<u64>() {

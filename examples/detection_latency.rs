@@ -30,7 +30,7 @@ use hypertap::guestos::kpath;
 use hypertap::hvsim::clock::{Duration, SimTime};
 use hypertap::monitors::goshd::{Goshd, GoshdConfig};
 use hypertap::monitors::harness::{EngineSelection, TapVm};
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 
 /// One hang trial: inject, run to the first alarm, correlate.
 fn run_trial(trial: u64, threshold: Duration, lat: &mut DetectionLatency) -> bool {
@@ -76,11 +76,8 @@ fn run_trial(trial: u64, threshold: Duration, lat: &mut DetectionLatency) -> boo
 }
 
 fn main() {
-    let args = Args::parse_known(&["trials", "assert"]).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2)
-    });
-    let trials: u64 = args.get("trials", 5);
+    let args = Args::parse_known(&["trials", "assert"]).unwrap_or_else(usage_exit);
+    let trials: u64 = args.get("trials", 5).unwrap_or_else(usage_exit);
     let threshold = Duration::from_secs(2);
     let em_tick = Duration::from_millis(1); // TapVm builder default
 

@@ -25,19 +25,16 @@
 use hypertap::faultinject::fleet::{summarize, FleetCampaign};
 use hypertap::framework::fleet::{FleetConfig, FleetHost};
 use hypertap::framework::telemetry::{SelfWatch, TelemetryHub, TelemetryServer};
-use hypertap_bench::cli::Args;
+use hypertap_bench::cli::{usage_exit, Args};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
     let args =
-        Args::parse_known(&["vms", "workers", "serve-ms", "addr-file"]).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        });
-    let vms: usize = args.get("vms", 8);
-    let workers: usize = args.get("workers", 3);
-    let serve_ms: u64 = args.get("serve-ms", 0);
+        Args::parse_known(&["vms", "workers", "serve-ms", "addr-file"]).unwrap_or_else(usage_exit);
+    let vms: usize = args.get("vms", 8).unwrap_or_else(usage_exit);
+    let workers: usize = args.get("workers", 3).unwrap_or_else(usage_exit);
+    let serve_ms: u64 = args.get("serve-ms", 0).unwrap_or_else(usage_exit);
 
     // The plane: hub (shared state + finding bus), HTTP server, watchdog.
     let hub = Arc::new(TelemetryHub::new());
