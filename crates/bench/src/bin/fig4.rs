@@ -20,7 +20,7 @@ use hypertap_faultinject::spec::Workload;
 use std::io::Write as _;
 
 fn main() {
-    let args = Args::parse_known(&["stride", "seed", "threads", "save", "quick"])
+    let args = Args::parse_known(&["stride", "seed", "threads", "save"], &["quick"])
         .unwrap_or_else(usage_exit);
     let mut cfg = default_campaign(args.get("stride", 16).unwrap_or_else(usage_exit));
     cfg.seed = args.get("seed", 42).unwrap_or_else(usage_exit);

@@ -17,7 +17,7 @@ use hypertap_faultinject::spec::{TrialResult, Workload};
 use std::io::BufRead as _;
 
 fn main() {
-    let args = Args::parse_known(&["load", "stride", "seed", "threads", "quick"])
+    let args = Args::parse_known(&["load", "stride", "seed", "threads"], &["quick"])
         .unwrap_or_else(usage_exit);
     let stride = args.get("stride", 16).unwrap_or_else(usage_exit);
     let seed = args.get("seed", 42).unwrap_or_else(usage_exit);

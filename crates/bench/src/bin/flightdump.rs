@@ -57,15 +57,10 @@ fn demo_dump() -> Vec<u8> {
 }
 
 fn main() {
-    let args = Args::parse_known(&[
-        "in",
-        "export-chrome",
-        "demo",
-        "out",
-        "follow",
-        "follow-ms",
-        "poll-ms",
-    ])
+    let args = Args::parse_known(
+        &["in", "export-chrome", "out", "follow", "follow-ms", "poll-ms"],
+        &["demo"],
+    )
     .unwrap_or_else(usage_exit);
     let limit_ms: u64 = args.get("follow-ms", 0).unwrap_or_else(usage_exit);
     let poll_ms: u64 = args.get("poll-ms", 250).unwrap_or_else(usage_exit);

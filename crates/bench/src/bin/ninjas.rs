@@ -21,7 +21,7 @@ use hypertap_bench::report::{bar, pct, table};
 use hypertap_hvsim::clock::Duration;
 
 fn main() {
-    let args = Args::parse_known(&["trials", "seed"]).unwrap_or_else(usage_exit);
+    let args = Args::parse_known(&["trials", "seed"], &[]).unwrap_or_else(usage_exit);
     let trials: usize = args.get("trials", 60).unwrap_or_else(usage_exit);
     let seed: u64 = args.get("seed", 7).unwrap_or_else(usage_exit);
     println!("The Three Ninjas — detection probability ({trials} attacks per scenario)\n");

@@ -85,7 +85,7 @@ fn measure_interval(interval_s: u64, samples: u64, poll_gap_ns: u64) -> Option<I
 }
 
 fn main() {
-    let args = Args::parse_known(&["samples", "poll-us"]).unwrap_or_else(usage_exit);
+    let args = Args::parse_known(&["samples", "poll-us"], &[]).unwrap_or_else(usage_exit);
     let samples: u64 = args.get("samples", 12).unwrap_or_else(usage_exit);
     let poll_gap_ns: u64 = args.get::<u64>("poll-us", 200).unwrap_or_else(usage_exit) * 1_000;
 

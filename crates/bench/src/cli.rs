@@ -11,44 +11,44 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process's arguments. `--key value` pairs become flags;
-    /// bare `--key` (followed by another flag or nothing) become switches.
-    /// Only the names in `known` (without the `--`) are accepted: any other
-    /// flag, and any argument that is neither a flag nor a flag's value, is
-    /// an error naming it, so a typo fails instead of silently running the
-    /// default.
-    pub fn parse_known(known: &[&str]) -> Result<Args, String> {
-        Args::parse_from(std::env::args().skip(1), known)
+    /// Parses the process's arguments. Each name in `values` (without the
+    /// `--`) is a flag that takes the next argument as its value; each name
+    /// in `switches` is a bare switch. Anything else is an error naming it,
+    /// so a typo fails instead of silently running the default: an unknown
+    /// flag, a value flag with no value after it, a switch followed by a
+    /// value, and any argument that is neither a flag nor a flag's value.
+    pub fn parse_known(values: &[&str], switches: &[&str]) -> Result<Args, String> {
+        Args::parse_from(std::env::args().skip(1), values, switches)
     }
 
     /// [`Args::parse_known`] over an explicit iterator (testable).
     pub fn parse_from<I: IntoIterator<Item = String>>(
         iter: I,
-        known: &[&str],
+        values: &[&str],
+        switches: &[&str],
     ) -> Result<Args, String> {
         let mut out = Args::default();
-        let items: Vec<String> = iter.into_iter().collect();
-        let mut i = 0;
-        while i < items.len() {
-            let item = &items[i];
-            if let Some(key) = item.strip_prefix("--") {
-                if !known.contains(&key) {
-                    let expected: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
-                    return Err(format!(
-                        "unknown flag --{key} (expected one of: {})",
-                        expected.join(", ")
-                    ));
-                }
-                let next_is_value = items.get(i + 1).map(|n| !n.starts_with("--")).unwrap_or(false);
-                if next_is_value {
-                    out.flags.insert(key.to_owned(), items[i + 1].clone());
-                    i += 2;
-                } else {
-                    out.switches.push(key.to_owned());
-                    i += 1;
-                }
-            } else {
+        let mut items = iter.into_iter().peekable();
+        while let Some(item) = items.next() {
+            let Some(key) = item.strip_prefix("--") else {
                 return Err(format!("unexpected argument {item:?} (flags are --name value)"));
+            };
+            let value = items.next_if(|next| !next.starts_with("--"));
+            if values.contains(&key) {
+                let value = value.ok_or_else(|| format!("--{key} needs a value"))?;
+                out.flags.insert(key.to_owned(), value);
+            } else if switches.contains(&key) {
+                if let Some(value) = value {
+                    return Err(format!("--{key} takes no value, got {value:?}"));
+                }
+                out.switches.push(key.to_owned());
+            } else {
+                let expected: Vec<String> =
+                    values.iter().chain(switches).map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unknown flag --{key} (expected one of: {})",
+                    expected.join(", ")
+                ));
             }
         }
         Ok(out)
@@ -77,7 +77,7 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
-    /// Whether a bare switch was present.
+    /// Whether a switch, or a value flag, was given.
     pub fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key) || self.flags.contains_key(key)
     }
@@ -95,10 +95,11 @@ pub fn usage_exit<T>(message: String) -> T {
 mod tests {
     use super::*;
 
-    const KNOWN: &[&str] = &["seed", "full", "out"];
+    const VALUES: &[&str] = &["seed", "out"];
+    const SWITCHES: &[&str] = &["full"];
 
     fn args(s: &[&str]) -> Result<Args, String> {
-        Args::parse_from(s.iter().map(|s| s.to_string()), KNOWN)
+        Args::parse_from(s.iter().map(|s| s.to_string()), VALUES, SWITCHES)
     }
 
     #[test]
@@ -129,9 +130,25 @@ mod tests {
     fn unknown_flags_are_errors() {
         let err = args(&["--seed", "7", "--sede", "8"]).unwrap_err();
         assert!(err.contains("unknown flag --sede"), "{err}");
-        assert!(err.contains("--seed, --full, --out"), "{err}");
+        assert!(err.contains("--seed, --out, --full"), "{err}");
         assert!(args(&["--full", "--bench-only"]).is_err(), "unknown switches too");
         assert!(args(&["--seed=7"]).is_err(), "`=` syntax is not a known flag");
         assert!(args(&[]).is_ok());
+    }
+
+    #[test]
+    fn a_value_flag_needs_its_value() {
+        let err = args(&["--seed"]).unwrap_err();
+        assert_eq!(err, "--seed needs a value");
+        let err = args(&["--seed", "--full"]).unwrap_err();
+        assert_eq!(err, "--seed needs a value", "the next flag is not a value");
+        assert!(args(&["--out", "--seed", "3"]).is_err());
+    }
+
+    #[test]
+    fn a_switch_takes_no_value() {
+        let err = args(&["--full", "3"]).unwrap_err();
+        assert_eq!(err, "--full takes no value, got \"3\"");
+        assert!(args(&["--full", "--seed", "3"]).unwrap().has("full"));
     }
 }

@@ -1,7 +1,8 @@
 //! CLI contract tests for the experiment binaries: each accepts exactly
 //! its documented flags, and any other `--flag` exits with usage code 2
 //! and a message naming the bad flag and the accepted ones, instead of
-//! silently running the default experiment. A malformed value and a stray
+//! silently running the default experiment. A malformed value, a value
+//! flag given without its value, a switch given a value and a stray
 //! positional argument are usage errors too, naming what was wrong.
 
 use std::process::Command;
@@ -35,10 +36,20 @@ fn rejects_unknown_flag(bin: &str, expected: &[&str]) {
 }
 
 /// A malformed number for `flag` is a usage error naming the flag and the
-/// value, not a silent run with the default; so is a bare positional.
+/// value, not a silent run with the default; so is a bare positional, and
+/// so is `flag` with its value missing, at the end or before another flag.
 fn rejects_malformed(bin: &str, flag: &str) {
-    usage_error(bin, &[&format!("--{flag}"), "1O0"], &format!("\"1O0\" for --{flag}"));
+    let flag = format!("--{flag}");
+    usage_error(bin, &[&flag, "1O0"], &format!("\"1O0\" for {flag}"));
     usage_error(bin, &["100"], "unexpected argument \"100\"");
+    let missing = format!("{flag} needs a value");
+    usage_error(bin, &[&flag], &missing);
+    usage_error(bin, &[&flag, "--no-such-flag"], &missing);
+}
+
+/// The switch `flag` given a value is a usage error naming both.
+fn rejects_switch_value(bin: &str, flag: &str) {
+    usage_error(bin, &[&format!("--{flag}"), "3"], &format!("--{flag} takes no value, got \"3\""));
 }
 
 #[test]
@@ -54,6 +65,7 @@ fn fig4_accepts_only_its_documented_flags() {
         &["stride", "seed", "threads", "save", "quick"],
     );
     rejects_malformed(env!("CARGO_BIN_EXE_fig4"), "stride");
+    rejects_switch_value(env!("CARGO_BIN_EXE_fig4"), "quick");
 }
 
 #[test]
@@ -63,19 +75,27 @@ fn fig5_accepts_only_its_documented_flags() {
         &["load", "stride", "seed", "threads", "quick"],
     );
     rejects_malformed(env!("CARGO_BIN_EXE_fig5"), "seed");
+    rejects_switch_value(env!("CARGO_BIN_EXE_fig5"), "quick");
 }
 
 #[test]
 fn ninjas_accepts_only_its_documented_flags() {
     rejects_unknown_flag(env!("CARGO_BIN_EXE_ninjas"), &["trials", "seed"]);
     rejects_malformed(env!("CARGO_BIN_EXE_ninjas"), "trials");
+    // Once ran 60 trials: the bare `--trials` was taken for a switch.
+    usage_error(
+        env!("CARGO_BIN_EXE_ninjas"),
+        &["--trials", "--seed", "3"],
+        "--trials needs a value",
+    );
 }
 
 #[test]
 fn flightdump_accepts_only_its_documented_flags() {
     rejects_unknown_flag(
         env!("CARGO_BIN_EXE_flightdump"),
-        &["in", "export-chrome", "demo", "out", "follow", "follow-ms", "poll-ms"],
+        &["in", "export-chrome", "out", "follow", "follow-ms", "poll-ms", "demo"],
     );
     rejects_malformed(env!("CARGO_BIN_EXE_flightdump"), "poll-ms");
+    rejects_switch_value(env!("CARGO_BIN_EXE_flightdump"), "demo");
 }

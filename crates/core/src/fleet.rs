@@ -1,12 +1,12 @@
-//! Fleet monitoring: many independent monitored VMs sharded over workers.
+//! Fleet monitoring: many independent monitored VMs run by a pool of workers.
 //!
 //! The paper pitches HyperTap as a *cloud-side* framework — one
 //! hypervisor-level logging layer covering every guest on a host — yet a
 //! single [`crate::kvm::Kvm`] monitors a single VM. This module adds the
 //! fleet layer: a [`FleetHost`] owns N independent simulated VMs (each with
 //! its own `VmState`, `Kvm`, `EventMultiplexer` and monitor set, keyed by
-//! [`VmId`]), shards them across a configurable pool of worker threads, and
-//! steps them in deterministic per-VM order. A [`FleetAggregator`] merges
+//! [`VmId`]), hands them out to a configurable pool of worker threads, and
+//! steps each in deterministic per-VM order. A [`FleetAggregator`] merges
 //! the per-VM [`DeliveryStats`], findings (tagged by [`VmId`]) and
 //! [`MetricsRegistry`] snapshots into one host-wide view.
 //!
@@ -14,22 +14,30 @@
 //!
 //! Fleet VMs are **fully independent**: no simulated state is shared
 //! between them, and the host hands every VM the *same* slice schedule —
-//! build, then repeat [`FleetVm::step_slice`] until [`SliceOutcome::Done`]
-//! — regardless of how many workers the fleet runs on. Worker count only
-//! changes which host thread a VM's slices execute on, never what a slice
-//! does, so a fleet run with any worker count produces bit-identical
-//! per-VM findings, metrics-free observables and trace recordings to
-//! running each VM alone ([`run_vm_alone`]). The replay crate's fleet
-//! conformance suite and the fleet determinism proptest enforce this.
+//! build, then repeat [`FleetVm::step_slice`] until [`SliceOutcome::Done`],
+//! then [`FleetVm::finish`] — regardless of how many workers the fleet runs
+//! on. Worker count only changes which host thread runs a VM, and when,
+//! never what a slice does, so a fleet run with any worker count produces
+//! bit-identical per-VM findings, metrics-free observables and trace
+//! recordings to running each VM alone ([`run_vm_alone`]), as the replay
+//! crate's fleet conformance suite and determinism proptest check.
 //!
-//! # Sharding model
+//! # Work queue
 //!
-//! Static modulo sharding: worker `w` of `W` owns every VM whose id `i`
-//! satisfies `i % W == w`, builds its VMs in ascending id order, then
-//! round-robins one slice per live VM (ascending id order) until all are
-//! done, then exits. VMs never move between workers — moving one would not
-//! change any per-VM result (slices are per-VM), but static shards keep the
-//! schedule trivially auditable and the worker→VM map reproducible in logs.
+//! Workers pull VM ids from one shared atomic counter, in ascending order.
+//! A worker builds the VM it claimed, steps it until [`SliceOutcome::Done`],
+//! finishes and drops it, then claims the next id. No worker idles while an
+//! unclaimed VM is left, at most one VM per worker is alive, and a VM's
+//! slices run back to back on one thread. Which thread varies from run to
+//! run; no per-VM result depends on it.
+//!
+//! [`FleetHost::stop`], `Drop` and a worker failure set one flag, checked
+//! before every claim and every slice. So none of them builds an unclaimed
+//! VM. A stopped run reports every claimed VM (ids `0..k`) and only those,
+//! each finished exactly once; a failed run finishes its claimed VMs the
+//! same way, except the one whose slice panicked, which gets a flight dump
+//! instead. [`FleetHost::join`] joins every worker before it raises the
+//! first failure.
 
 use crate::audit::Finding;
 use crate::em::DeliveryStats;
@@ -38,7 +46,7 @@ use crate::flight::panic_message;
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{FindingBus, TelemetryHub, VmProbe};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -160,7 +168,7 @@ impl FleetReport {
     }
 }
 
-/// A running fleet: worker threads stepping their VM shards.
+/// A running fleet: worker threads claiming and running its VMs.
 ///
 /// Always joins its workers — via [`FleetHost::join`], [`FleetHost::stop`]
 /// or `Drop` — so a fleet can never leak threads (the same lifecycle
@@ -171,8 +179,8 @@ pub struct FleetHost {
     cfg: FleetConfig,
 }
 
-/// Why a worker abandoned its shard: one VM's slice panicked. The worker
-/// grabs the VM's flight-recorder dump before unwinding so the host can
+/// Why a worker stopped early: one VM's slice panicked. The worker grabs
+/// the VM's flight-recorder dump before unwinding so the host can
 /// reference it in the rethrown error.
 struct WorkerFailure {
     vm: VmId,
@@ -206,22 +214,19 @@ impl FleetHost {
         hub: Option<Arc<TelemetryHub>>,
     ) -> FleetHost {
         let stop = Arc::new(AtomicBool::new(false));
-        let workers = cfg.effective_workers();
-        let mut handles = Vec::new();
-        if cfg.vms > 0 {
-            for w in 0..workers {
-                let shard: Vec<VmId> =
-                    (w..cfg.vms).step_by(workers).map(|i| VmId(i as u32)).collect();
-                let workload = Arc::clone(&workload);
-                let stop = Arc::clone(&stop);
-                let hub = hub.clone();
-                let handle = std::thread::Builder::new()
+        let next = Arc::new(AtomicUsize::new(0));
+        let handles = (0..cfg.effective_workers())
+            .map(|w| {
+                let (workload, stop, next, hub) =
+                    (Arc::clone(&workload), Arc::clone(&stop), Arc::clone(&next), hub.clone());
+                std::thread::Builder::new()
                     .name(format!("fleet-worker-{w}"))
-                    .spawn(move || worker_loop(w, &shard, &*workload, &stop, hub.as_deref()))
-                    .expect("spawn fleet worker");
-                handles.push(handle);
-            }
-        }
+                    .spawn(move || {
+                        worker_loop(w, cfg.vms, &next, &*workload, &stop, hub.as_deref())
+                    })
+                    .expect("spawn fleet worker")
+            })
+            .collect();
         FleetHost { handles, stop, cfg }
     }
 
@@ -238,9 +243,9 @@ impl FleetHost {
     /// Waits for every VM to finish and returns the per-VM reports in
     /// ascending [`VmId`] order.
     ///
-    /// A failed worker stops the fleet: the other workers drain their VMs
-    /// and are joined, and only then is the first failure (in worker order)
-    /// raised — a caught slice panic with its flight-dump path, or a worker
+    /// A failed worker stops the fleet: the other workers finish the VMs
+    /// they hold and are joined, and only then is the first failure (in
+    /// worker order) raised — a caught slice panic with its flight-dump path, or a worker
     /// panic re-raised as is.
     pub fn join(mut self) -> FleetReport {
         let mut per_vm = Vec::with_capacity(self.cfg.vms);
@@ -281,10 +286,9 @@ impl FleetHost {
         FleetReport { per_vm }
     }
 
-    /// Requests shutdown and joins every worker. VMs that had not finished
-    /// are drained early, so their (partial) reports still appear in the
-    /// result. Returns once all worker threads have exited — no thread
-    /// outlives the call.
+    /// Requests shutdown and joins every worker. Every claimed VM is
+    /// finished, early if need be, and reported; unclaimed VMs are never
+    /// built. No worker thread outlives the call.
     pub fn stop(self) -> FleetReport {
         self.stop.store(true, Ordering::SeqCst);
         self.join()
@@ -300,42 +304,43 @@ impl Drop for FleetHost {
     }
 }
 
-/// One VM on a worker: its identity and the VM itself.
-struct WorkerSlot {
-    id: VmId,
-    vm: Box<dyn FleetVm>,
+/// Sets the stop flag if a worker unwinds (a panic in `build_vm` or
+/// `finish`), so the other workers claim no more VMs.
+struct StopOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 fn worker_loop(
     worker: usize,
-    shard: &[VmId],
+    vms: usize,
+    next: &AtomicUsize,
     workload: &dyn FleetWorkload,
     stop: &AtomicBool,
     hub: Option<&TelemetryHub>,
 ) -> Result<Vec<VmReport>, WorkerFailure> {
+    let _guard = StopOnUnwind(stop);
     if let Some(h) = hub {
         h.worker_started(worker);
     }
-    // Build in ascending id order, step round-robin in ascending id order:
-    // the per-VM slice schedule is identical for every worker count.
-    let mut vms: Vec<WorkerSlot> = shard
-        .iter()
-        .map(|&id| {
-            if let Some(h) = hub {
-                h.vm_started(id, worker);
-            }
-            WorkerSlot { id, vm: workload.build_vm(id) }
-        })
-        .collect();
-    let mut reports = Vec::with_capacity(vms.len());
-    'run: while !vms.is_empty() {
-        let mut i = 0;
-        while i < vms.len() {
-            if stop.load(Ordering::SeqCst) {
-                break 'run;
-            }
-            let slot = &mut vms[i];
-            let outcome = match catch_unwind(AssertUnwindSafe(|| slot.vm.step_slice())) {
+    let mut reports = Vec::new();
+    while !stop.load(Ordering::SeqCst) {
+        let i = next.fetch_add(1, Ordering::SeqCst);
+        if i >= vms {
+            break;
+        }
+        let id = VmId(i as u32);
+        if let Some(h) = hub {
+            h.vm_started(id, worker);
+        }
+        let mut vm = workload.build_vm(id);
+        while !stop.load(Ordering::SeqCst) {
+            let outcome = match catch_unwind(AssertUnwindSafe(|| vm.step_slice())) {
                 Ok(outcome) => outcome,
                 Err(payload) => {
                     // The slice panicked: snapshot the VM's black box
@@ -343,33 +348,23 @@ fn worker_loop(
                     // the payload + dump to the host instead of unwinding
                     // the whole worker anonymously.
                     let message = panic_message(payload);
-                    let reason = format!("fleet-worker-panic: {}: {message}", slot.id);
-                    let dump = catch_unwind(AssertUnwindSafe(|| slot.vm.flight_dump(&reason)))
-                        .ok()
-                        .flatten();
+                    let reason = format!("fleet-worker-panic: {id}: {message}");
+                    let dump =
+                        catch_unwind(AssertUnwindSafe(|| vm.flight_dump(&reason))).ok().flatten();
                     stop.store(true, Ordering::SeqCst);
-                    return Err(WorkerFailure { vm: slot.id, message, dump });
+                    return Err(WorkerFailure { vm: id, message, dump });
                 }
             };
             if let Some(h) = hub {
-                h.vm_progress(slot.id, worker, slot.vm.telemetry_probe());
+                h.vm_progress(id, worker, vm.telemetry_probe());
             }
             if outcome == SliceOutcome::Done {
-                let mut slot = vms.remove(i);
-                let report = slot.vm.finish();
-                if let Some(h) = hub {
-                    h.vm_finished(&report, worker);
-                }
-                reports.push(report);
-                continue;
+                break;
             }
-            i += 1;
         }
-    }
-    // Early stop: drain the VMs still running so partial reports are not
-    // lost.
-    for mut slot in vms {
-        let report = slot.vm.finish();
+        // Done or stopped: finished once here, and dropped before the next
+        // claim, so a worker holds one VM at a time.
+        let report = vm.finish();
         if let Some(h) = hub {
             h.vm_finished(&report, worker);
         }
@@ -598,63 +593,6 @@ mod tests {
         assert_eq!(agg.vm_count(), 8);
     }
 
-    /// A VM that never finishes on its own — only `stop()` can end it.
-    struct Endless(VmId, Arc<AtomicU64>);
-
-    impl FleetVm for Endless {
-        fn step_slice(&mut self) -> SliceOutcome {
-            self.1.fetch_add(1, Ordering::Relaxed);
-            std::thread::yield_now();
-            SliceOutcome::Running
-        }
-
-        fn finish(&mut self) -> VmReport {
-            VmReport {
-                vm: self.0,
-                findings: Vec::new(),
-                stats: DeliveryStats::default(),
-                metrics: MetricsRegistry::new(),
-                halted: false,
-                payload: Vec::new(),
-            }
-        }
-    }
-
-    struct EndlessFleet(Arc<AtomicU64>);
-
-    impl FleetWorkload for EndlessFleet {
-        fn build_vm(&self, vm: VmId) -> Box<dyn FleetVm> {
-            Box::new(Endless(vm, Arc::clone(&self.0)))
-        }
-    }
-
-    #[test]
-    fn stop_joins_all_workers_and_drains_partial_reports() {
-        let slices = Arc::new(AtomicU64::new(0));
-        let host =
-            FleetHost::launch(Arc::new(EndlessFleet(Arc::clone(&slices))), FleetConfig::new(6, 3));
-        assert_eq!(host.worker_count(), 3);
-        // Let the workers demonstrably make progress, then pull the plug.
-        while slices.load(Ordering::Relaxed) < 100 {
-            std::thread::yield_now();
-        }
-        let report = host.stop();
-        assert_eq!(report.per_vm.len(), 6, "stopped VMs must still be drained");
-        let ids: Vec<u32> = report.per_vm.iter().map(|r| r.vm.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn drop_without_join_does_not_leak_or_hang() {
-        let slices = Arc::new(AtomicU64::new(0));
-        let host =
-            FleetHost::launch(Arc::new(EndlessFleet(Arc::clone(&slices))), FleetConfig::new(2, 2));
-        while slices.load(Ordering::Relaxed) < 10 {
-            std::thread::yield_now();
-        }
-        drop(host); // must set the stop flag and join, not hang or leak
-    }
-
     #[test]
     fn aggregator_merges_stats_findings_and_metrics() {
         let report = run_fleet(Arc::new(StubFleet { halters: false }), FleetConfig::new(5, 2));
@@ -685,14 +623,7 @@ mod tests {
         }
 
         fn finish(&mut self) -> VmReport {
-            VmReport {
-                vm: self.id,
-                findings: Vec::new(),
-                stats: DeliveryStats::default(),
-                metrics: MetricsRegistry::new(),
-                halted: false,
-                payload: Vec::new(),
-            }
+            empty_report(self.id)
         }
 
         fn flight_dump(&mut self, reason: &str) -> Option<Vec<u8>> {
@@ -728,69 +659,102 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
-    /// VM 0 panics on its first slice; VM 1 runs until stopped and then
-    /// takes a while to finish before raising `finished`.
-    struct PanicAndSlowDrain(Arc<AtomicBool>);
+    /// VM 0 panics once VM 1 has been built; VM 1 runs until stopped and
+    /// then takes a while to finish before counting its finish. Every
+    /// build is logged.
+    #[derive(Default)]
+    struct PanicAndSlowDrain {
+        built: std::sync::Mutex<Vec<u32>>,
+        vm1_finishes: AtomicU64,
+    }
 
     struct PanicOrSlow {
         id: VmId,
-        finished: Arc<AtomicBool>,
+        workload: Arc<PanicAndSlowDrain>,
+        deadline: std::time::Instant,
     }
 
     impl FleetVm for PanicOrSlow {
         fn step_slice(&mut self) -> SliceOutcome {
-            if self.id == VmId(0) {
+            let vm1_built = self.workload.built.lock().unwrap().contains(&1);
+            if self.id == VmId(0) && (vm1_built || std::time::Instant::now() > self.deadline) {
                 panic!("vm 0 fails");
             }
-            std::thread::yield_now();
+            std::thread::sleep(std::time::Duration::from_millis(1));
             SliceOutcome::Running
         }
 
         fn finish(&mut self) -> VmReport {
             if self.id == VmId(1) {
                 std::thread::sleep(std::time::Duration::from_millis(200));
-                self.finished.store(true, Ordering::SeqCst);
+                self.workload.vm1_finishes.fetch_add(1, Ordering::SeqCst);
             }
-            VmReport {
-                vm: self.id,
-                findings: Vec::new(),
-                stats: DeliveryStats::default(),
-                metrics: MetricsRegistry::new(),
-                halted: false,
-                payload: Vec::new(),
-            }
+            empty_report(self.id)
         }
     }
 
-    impl FleetWorkload for PanicAndSlowDrain {
+    /// The fleet of [`PanicOrSlow`] VMs, which share its state.
+    struct PanicFleet(Arc<PanicAndSlowDrain>);
+
+    impl FleetWorkload for PanicFleet {
         fn build_vm(&self, vm: VmId) -> Box<dyn FleetVm> {
-            Box::new(PanicOrSlow { id: vm, finished: Arc::clone(&self.0) })
+            self.0.built.lock().unwrap().push(vm.0);
+            Box::new(PanicOrSlow {
+                id: vm,
+                workload: Arc::clone(&self.0),
+                deadline: std::time::Instant::now() + std::time::Duration::from_secs(10),
+            })
+        }
+    }
+
+    fn empty_report(vm: VmId) -> VmReport {
+        VmReport {
+            vm,
+            findings: Vec::new(),
+            stats: DeliveryStats::default(),
+            metrics: MetricsRegistry::new(),
+            halted: false,
+            payload: Vec::new(),
         }
     }
 
     #[test]
     fn failed_run_joins_every_worker_before_raising() {
-        let finished = Arc::new(AtomicBool::new(false));
-        let workload = Arc::new(PanicAndSlowDrain(Arc::clone(&finished)));
-        let result = std::panic::catch_unwind(|| run_fleet(workload, FleetConfig::new(2, 2)));
+        // Four VMs on two workers: vm0 and vm1 are claimed, one per worker;
+        // vm0 fails while vm1 runs, so vm2 and vm3 are never claimed.
+        let state = Arc::new(PanicAndSlowDrain::default());
+        let workload = Arc::new(PanicFleet(Arc::clone(&state)));
+        let result = std::panic::catch_unwind(|| run_fleet(workload, FleetConfig::new(4, 2)));
         let message = panic_message(result.expect_err("the vm0 panic must propagate"));
         assert!(message.contains("vm 0 fails"), "{message}");
-        assert!(
-            finished.load(Ordering::SeqCst),
-            "the surviving worker must be drained and joined before the failure is raised"
+        assert_eq!(
+            state.vm1_finishes.load(Ordering::SeqCst),
+            1,
+            "the surviving worker must finish vm1 once and be joined before the failure is raised"
         );
+        let mut built = state.built.lock().unwrap().clone();
+        built.sort_unstable();
+        assert_eq!(built, vec![0, 1], "a failure must not build an unclaimed VM");
     }
 
-    /// Every build, step and finish: what ran, on which VM, on which thread.
+    /// Every build, step, finish and drop: what ran, on which VM, on which
+    /// thread.
     type SliceLog = Arc<std::sync::Mutex<Vec<(&'static str, VmId, String)>>>;
 
-    /// A VM that runs `slices` slices and logs, into a shared list, every
-    /// build, step and finish with the name of the thread that ran it.
+    /// Slice count of a VM that runs until every other VM of its fleet has
+    /// finished (or 10 s have passed).
+    const UNTIL_THE_REST_FINISH: u64 = 0;
+
+    /// A VM that runs `slices` slices (`u64::MAX`: until stopped), or for
+    /// 10 s at most, and logs, into a shared list, every build, step,
+    /// finish and drop with the name of the thread that ran it.
     struct Logged {
         id: VmId,
         slices: u64,
         taken: u64,
+        fleet: usize,
         log: SliceLog,
+        deadline: std::time::Instant,
     }
 
     impl Logged {
@@ -798,142 +762,251 @@ mod tests {
             let thread = std::thread::current().name().unwrap_or("").to_owned();
             self.log.lock().unwrap().push((what, self.id, thread));
         }
+
+        fn the_rest_finished(&self) -> bool {
+            count(&self.log.lock().unwrap(), "finish") == self.fleet - 1
+        }
     }
 
     impl FleetVm for Logged {
         fn step_slice(&mut self) -> SliceOutcome {
             self.note("step");
             self.taken += 1;
-            if self.taken >= self.slices {
-                SliceOutcome::Done
-            } else {
-                SliceOutcome::Running
+            let done = match self.slices {
+                UNTIL_THE_REST_FINISH => self.the_rest_finished(),
+                slices => self.taken >= slices,
+            } || std::time::Instant::now() > self.deadline;
+            if done {
+                return SliceOutcome::Done;
             }
+            if self.slices == u64::MAX || self.slices == UNTIL_THE_REST_FINISH {
+                // Keep the log small while waiting.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            SliceOutcome::Running
         }
 
         fn finish(&mut self) -> VmReport {
             self.note("finish");
             VmReport {
-                vm: self.id,
-                findings: Vec::new(),
                 stats: DeliveryStats { events_in: self.taken, ..Default::default() },
-                metrics: MetricsRegistry::new(),
-                halted: false,
-                payload: Vec::new(),
+                ..empty_report(self.id)
             }
         }
     }
 
-    /// VM i runs `slices[i]` slices.
+    impl Drop for Logged {
+        fn drop(&mut self) {
+            self.note("drop");
+        }
+    }
+
+    /// VM i runs `slices[i]` slices; building `build_panics` panics once
+    /// some VM has taken a slice.
     struct LoggedFleet {
         slices: Vec<u64>,
         log: SliceLog,
+        build_panics: Option<VmId>,
     }
 
     impl LoggedFleet {
         fn new(slices: &[u64]) -> Arc<LoggedFleet> {
-            Arc::new(LoggedFleet { slices: slices.to_vec(), log: Arc::default() })
+            Arc::new(LoggedFleet {
+                slices: slices.to_vec(),
+                log: Arc::default(),
+                build_panics: None,
+            })
         }
 
         fn log(&self) -> Vec<(&'static str, VmId, String)> {
             self.log.lock().unwrap().clone()
         }
+
+        /// Waits until `ready` holds for the log; fails after 10 s.
+        fn wait_for(&self, ready: impl Fn(&[(&'static str, VmId, String)]) -> bool) {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !ready(&self.log.lock().unwrap()) {
+                assert!(std::time::Instant::now() < deadline, "the fleet never got there");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+
+        /// The ids of the VMs with a `what` entry, sorted.
+        fn ids(&self, what: &str) -> Vec<u32> {
+            let mut ids: Vec<u32> =
+                self.log().iter().filter(|e| e.0 == what).map(|e| e.1 .0).collect();
+            ids.sort_unstable();
+            ids
+        }
     }
 
     impl FleetWorkload for LoggedFleet {
         fn build_vm(&self, vm: VmId) -> Box<dyn FleetVm> {
+            if self.build_panics == Some(vm) {
+                self.wait_for(|log| count(log, "step") > 0);
+                panic!("building {vm} failed");
+            }
             let built = Logged {
                 id: vm,
                 slices: self.slices[vm.0 as usize],
                 taken: 0,
+                fleet: self.slices.len(),
                 log: Arc::clone(&self.log),
+                deadline: std::time::Instant::now() + std::time::Duration::from_secs(10),
             };
             built.note("build");
             Box::new(built)
         }
     }
 
+    fn count(log: &[(&'static str, VmId, String)], what: &str) -> usize {
+        log.iter().filter(|e| e.0 == what).count()
+    }
+
+    fn report_ids(report: &FleetReport) -> Vec<u32> {
+        report.per_vm.iter().map(|r| r.vm.0).collect()
+    }
+
     #[test]
-    fn each_vm_lives_on_its_modulo_worker() {
-        let workload = LoggedFleet::new(&[3, 1, 4, 1, 5, 9, 2]);
-        let report = run_fleet(Arc::clone(&workload) as _, FleetConfig::new(7, 3));
-        assert_eq!(report.per_vm.len(), 7);
-        let log = workload.log();
-        assert_eq!(log.len(), 7 + (3 + 1 + 4 + 1 + 5 + 9 + 2) + 7, "build + steps + finish");
-        for (what, vm, thread) in log {
-            assert_eq!(
-                thread,
-                format!("fleet-worker-{}", vm.0 % 3),
-                "{what} of {vm} ran on the wrong worker"
-            );
+    fn vms_are_claimed_in_id_order_and_run_to_completion() {
+        let slices = [3, 1, 4, 1, 5, 9, 2];
+        for workers in [1, 3] {
+            let workload = LoggedFleet::new(&slices);
+            let report = run_fleet(Arc::clone(&workload) as _, FleetConfig::new(7, workers));
+            assert_eq!(report_ids(&report), vec![0, 1, 2, 3, 4, 5, 6]);
+            let log = workload.log();
+            let builds: Vec<u32> = log.iter().filter(|e| e.0 == "build").map(|e| e.1 .0).collect();
+            assert_eq!(builds, vec![0, 1, 2, 3, 4, 5, 6], "VMs are built in claim (= id) order");
+            // On each thread, every VM it built runs to completion before
+            // the next: build, all its steps, finish, drop, back to back.
+            let mut threads: Vec<&str> = log.iter().map(|e| e.2.as_str()).collect();
+            threads.sort_unstable();
+            threads.dedup();
+            assert!(threads.len() <= workers);
+            for thread in threads {
+                let ran: Vec<(&str, u32)> =
+                    log.iter().filter(|e| e.2 == thread).map(|e| (e.0, e.1 .0)).collect();
+                let mut expected = Vec::new();
+                for vm in ran.iter().filter(|e| e.0 == "build").map(|e| e.1) {
+                    expected.push(("build", vm));
+                    expected.extend((0..slices[vm as usize]).map(|_| ("step", vm)));
+                    expected.extend([("finish", vm), ("drop", vm)]);
+                }
+                assert_eq!(ran, expected, "workers={workers}, {thread}");
+            }
         }
     }
 
     #[test]
-    fn a_worker_steps_its_shard_round_robin_in_id_order() {
-        // One worker, slices 3,1,2,3: every round visits the unfinished VMs
-        // in ascending id order, and a VM is finished on the slice that
-        // reports `Done`, before the next VM is stepped.
-        let workload = LoggedFleet::new(&[3, 1, 2, 3]);
-        let report = run_fleet(Arc::clone(&workload) as _, FleetConfig::new(4, 1));
-        let order: Vec<(&str, u32)> =
-            workload.log().iter().map(|(what, vm, _)| (*what, vm.0)).collect();
-        #[rustfmt::skip]
-        let expected = vec![
-            ("build", 0), ("build", 1), ("build", 2), ("build", 3),
-            ("step", 0), ("step", 1), ("finish", 1), ("step", 2), ("step", 3),
-            ("step", 0), ("step", 2), ("finish", 2), ("step", 3),
-            ("step", 0), ("finish", 0), ("step", 3), ("finish", 3),
-        ];
-        assert_eq!(order, expected);
-        let taken: Vec<u64> = report.per_vm.iter().map(|r| r.stats.events_in).collect();
-        assert_eq!(taken, vec![3, 1, 2, 3]);
+    fn at_most_workers_vms_are_alive() {
+        for workers in [1, 2, 3] {
+            let workload = LoggedFleet::new(&[4; 12]);
+            run_fleet(Arc::clone(&workload) as _, FleetConfig::new(12, workers));
+            let (mut unfinished, mut alive, mut peak_unfinished, mut peak_alive) = (0, 0, 0, 0);
+            for (what, _, _) in workload.log() {
+                match what {
+                    "build" => (unfinished, alive) = (unfinished + 1, alive + 1),
+                    "finish" => unfinished -= 1,
+                    "drop" => alive -= 1,
+                    _ => {}
+                }
+                peak_unfinished = peak_unfinished.max(unfinished);
+                peak_alive = peak_alive.max(alive);
+            }
+            assert!(peak_unfinished <= workers, "workers={workers}: {peak_unfinished} unfinished");
+            assert!(peak_alive <= workers, "workers={workers}: {peak_alive} alive");
+        }
+    }
+
+    #[test]
+    fn an_idle_worker_takes_the_rest_while_one_vm_runs_long() {
+        // VM 0 runs until VMs 1..6 have finished. The worker that claimed
+        // it holds nothing else, so the other worker runs all of them.
+        let workload = LoggedFleet::new(&[UNTIL_THE_REST_FINISH, 1, 2, 1, 2, 1]);
+        run_fleet(Arc::clone(&workload) as _, FleetConfig::new(6, 2));
+        let log = workload.log();
+        let thread_of =
+            |vm: u32| log.iter().find(|e| e.0 == "build" && e.1 == VmId(vm)).unwrap().2.clone();
+        for vm in 1..6 {
+            assert_ne!(thread_of(vm), thread_of(0), "vm{vm} waited behind the long vm0");
+        }
     }
 
     #[test]
     fn reports_come_back_in_id_order_whatever_the_finish_order() {
-        // VM i runs 8 - i slices, so on each worker the VMs finish in
-        // descending id order.
-        let workload = LoggedFleet::new(&[8, 7, 6, 5, 4, 3]);
+        // VM 0 runs until every other VM has finished, so VMs finish in the
+        // order 1, 2, 3, 4, 5, 0.
+        let workload = LoggedFleet::new(&[UNTIL_THE_REST_FINISH, 5, 4, 3, 2, 1]);
         let report = run_fleet(Arc::clone(&workload) as _, FleetConfig::new(6, 2));
-        let finished: Vec<u32> = workload
-            .log()
-            .iter()
-            .filter(|(what, _, thread)| *what == "finish" && thread == "fleet-worker-0")
-            .map(|(_, vm, _)| vm.0)
-            .collect();
-        assert_eq!(finished, vec![4, 2, 0]);
-        let ids: Vec<u32> = report.per_vm.iter().map(|r| r.vm.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-        let taken: Vec<u64> = report.per_vm.iter().map(|r| r.stats.events_in).collect();
-        assert_eq!(taken, vec![8, 7, 6, 5, 4, 3]);
+        let finished: Vec<u32> =
+            workload.log().iter().filter(|e| e.0 == "finish").map(|e| e.1 .0).collect();
+        assert_eq!(finished, vec![1, 2, 3, 4, 5, 0]);
+        assert_eq!(report_ids(&report), vec![0, 1, 2, 3, 4, 5]);
+        let taken: Vec<u64> = report.per_vm[1..].iter().map(|r| r.stats.events_in).collect();
+        assert_eq!(taken, vec![5, 4, 3, 2, 1]);
     }
 
     #[test]
-    fn stop_keeps_finished_reports_and_drains_the_rest_once() {
-        // Worker 0's shard (VMs 0, 2, 4) finishes after one slice each;
-        // worker 1's (VMs 1, 3, 5) runs until stopped.
+    fn stop_joins_all_workers_and_reports_only_claimed_vms() {
+        // Every VM runs until stopped, so each worker claims one and holds
+        // it: three are claimed, and the other three never are.
+        let workload = LoggedFleet::new(&[u64::MAX; 6]);
+        let host = FleetHost::launch(Arc::clone(&workload) as _, FleetConfig::new(6, 3));
+        assert_eq!(host.worker_count(), 3);
+        workload.wait_for(|log| count(log, "build") == 3);
+        let report = host.stop();
+        assert_eq!(report_ids(&report), vec![0, 1, 2], "claimed VMs are reported, no others");
+        assert_eq!(workload.ids("build"), vec![0, 1, 2], "stop must not build an unclaimed VM");
+        assert_eq!(workload.ids("finish"), vec![0, 1, 2], "each claimed VM is finished once");
+    }
+
+    #[test]
+    fn stop_keeps_finished_reports_and_finishes_claimed_vms_once() {
+        // Even VMs finish after one slice; odd ones run until stopped. The
+        // two workers claim 0..4 between them and then each holds an odd VM.
         let workload = LoggedFleet::new(&[1, u64::MAX, 1, u64::MAX, 1, u64::MAX]);
         let host = FleetHost::launch(Arc::clone(&workload) as _, FleetConfig::new(6, 2));
-        let finishes = |log: &[(&str, VmId, String)]| -> Vec<u32> {
-            log.iter().filter(|(what, _, _)| *what == "finish").map(|(_, vm, _)| vm.0).collect()
-        };
-        while finishes(&workload.log.lock().unwrap()).len() < 3 {
-            std::thread::yield_now();
-        }
+        workload.wait_for(|log| count(log, "build") == 4 && count(log, "finish") == 2);
         let report = host.stop();
-        let ids: Vec<u32> = report.per_vm.iter().map(|r| r.vm.0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
-        let mut finished: Vec<u32> = finishes(&workload.log());
-        finished.sort_unstable();
-        assert_eq!(finished, vec![0, 1, 2, 3, 4, 5], "every VM is finished exactly once");
+        assert_eq!(report_ids(&report), vec![0, 1, 2, 3]);
+        assert_eq!(workload.ids("build"), vec![0, 1, 2, 3], "vm4 and vm5 are never claimed");
+        assert_eq!(workload.ids("finish"), vec![0, 1, 2, 3], "every VM is finished exactly once");
         for r in report.per_vm.iter().filter(|r| r.vm.0 % 2 == 0) {
             assert_eq!(r.stats.events_in, 1, "{} ran its one slice", r.vm);
         }
     }
 
-    /// VM 0 finishes on its first slice; VM 1 runs until worker 0's thread
-    /// has released its handle on the workload (or a deadline passes).
+    #[test]
+    fn a_panic_outside_a_slice_stops_the_fleet_too() {
+        // vm1's build fails while vm0, which runs until stopped, is held by
+        // the other worker: vm0 is finished once, and nothing else is built.
+        let workload = Arc::new(LoggedFleet {
+            build_panics: Some(VmId(1)),
+            ..Arc::into_inner(LoggedFleet::new(&[u64::MAX; 4])).unwrap()
+        });
+        let fleet = Arc::clone(&workload);
+        let result = std::panic::catch_unwind(|| run_fleet(fleet, FleetConfig::new(4, 2)));
+        let message = panic_message(result.expect_err("the build panic must propagate"));
+        assert!(message.contains("building vm1 failed"), "{message}");
+        assert_eq!(workload.ids("build"), vec![0], "a failure must not build an unclaimed VM");
+        assert_eq!(workload.ids("finish"), vec![0]);
+        let steps = count(&workload.log(), "step");
+        assert!(steps < 5_000, "vm0 ran {steps} slices: it was not stopped");
+    }
+
+    #[test]
+    fn drop_without_join_does_not_leak_or_hang() {
+        let workload = LoggedFleet::new(&[u64::MAX; 4]);
+        let host = FleetHost::launch(Arc::clone(&workload) as _, FleetConfig::new(4, 2));
+        workload.wait_for(|log| count(log, "build") == 2);
+        drop(host); // must set the stop flag and join, not hang or leak
+        assert_eq!(workload.ids("build"), vec![0, 1], "Drop must not build an unclaimed VM");
+        assert_eq!(workload.ids("finish"), vec![0, 1]);
+    }
+
+    /// VM 0 finishes on its first slice; VM 1 runs until the other
+    /// worker's thread has released its handle on the workload (or a
+    /// deadline passes).
     struct WaitsForPeerExit {
         me: std::sync::Weak<WaitsForPeerExit>,
         saw_peer_exit: Arc<AtomicBool>,
@@ -964,14 +1037,7 @@ mod tests {
         }
 
         fn finish(&mut self) -> VmReport {
-            VmReport {
-                vm: self.id,
-                findings: Vec::new(),
-                stats: DeliveryStats::default(),
-                metrics: MetricsRegistry::new(),
-                halted: false,
-                payload: Vec::new(),
-            }
+            empty_report(self.id)
         }
     }
 
@@ -987,7 +1053,7 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_returns_as_soon_as_its_shard_is_done() {
+    fn a_worker_returns_as_soon_as_no_id_is_left() {
         let saw_peer_exit = Arc::new(AtomicBool::new(false));
         let workload = Arc::new_cyclic(|me| WaitsForPeerExit {
             me: me.clone(),
@@ -997,7 +1063,7 @@ mod tests {
         assert_eq!(report.per_vm.len(), 2);
         assert!(
             saw_peer_exit.load(Ordering::SeqCst),
-            "worker 0 must return once vm0 is done, not wait for vm1 on worker 1"
+            "a worker with no id left to claim must return, not wait for vm1 on the other"
         );
     }
 

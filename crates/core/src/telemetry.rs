@@ -1158,7 +1158,7 @@ mod tests {
         let mut watch = SelfWatch::start(Arc::clone(&hub), period);
         let mut server = TelemetryServer::start(Arc::clone(&hub)).expect("server starts");
 
-        // Worker 0 is wedged inside VM 0's slice; /healthz must flip to
+        // VM 0's worker is wedged inside its slice; /healthz must flip to
         // degraded within one watchdog period of the stall exceeding it.
         let deadline = Instant::now() + StdDuration::from_secs(10);
         loop {

@@ -108,18 +108,10 @@ fn shrink_selftest(out_dir: &Path) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse_known(&[
-        "seed",
-        "iters",
-        "seconds",
-        "cap-ms",
-        "out",
-        "blind",
-        "compare",
-        "corpus",
-        "shrink-selftest",
-        "record-corpus",
-    ]) {
+    let args = match Args::parse_known(
+        &["seed", "iters", "seconds", "cap-ms", "out", "record-corpus"],
+        &["blind", "compare", "corpus", "shrink-selftest"],
+    ) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("{e}");

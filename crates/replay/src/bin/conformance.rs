@@ -36,7 +36,8 @@
 //! same VM fleet is run on `--workers-left` (default 1) and
 //! `--workers-right` (default 8) worker threads, and every VM's findings,
 //! delivery stats and recorded trace must match byte for byte — the
-//! fleet determinism contract under real sharding.
+//! fleet determinism contract under real multi-worker scheduling, where
+//! which thread runs which VM changes from run to run.
 
 use hypertap_bench::cli::{usage_exit, Args};
 use hypertap_hvsim::clock::Duration;
@@ -72,16 +73,19 @@ fn run_fleet_mode(args: &Args, vms: usize, seed: u64) {
 }
 
 fn main() {
-    let args = Args::parse_known(&[
-        "seed",
-        "fleet",
-        "workers-left",
-        "workers-right",
-        "cap-ms",
-        "scenarios",
-        "inject-divergence",
-        "pair",
-    ])
+    let args = Args::parse_known(
+        &[
+            "seed",
+            "fleet",
+            "workers-left",
+            "workers-right",
+            "cap-ms",
+            "scenarios",
+            "inject-divergence",
+            "pair",
+        ],
+        &[],
+    )
     .unwrap_or_else(usage_exit);
     let seed = args.get::<u64>("seed", 42).unwrap_or_else(usage_exit);
     if args.has("fleet") {

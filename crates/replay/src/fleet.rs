@@ -1,5 +1,5 @@
-//! Fleet conformance: per-VM trace recording under the sharded fleet
-//! host, diffed against the sequential single-VM baseline.
+//! Fleet conformance: per-VM trace recording under the multi-worker
+//! fleet host, diffed against the sequential single-VM baseline.
 //!
 //! The fleet determinism contract (see `hypertap_core::fleet`) promises
 //! that a VM's recorded [`EventTap`](hypertap_core::em::EventTap) stream
@@ -200,7 +200,7 @@ pub fn diff_fleet_reports(a: &FleetReport, b: &FleetReport) -> Option<FleetDiver
 }
 
 /// Runs the same fleet at two worker counts and diffs the results — the
-/// fleet conformance pair. `None` means the sharded run reproduced the
+/// fleet conformance pair. `None` means the multi-worker run reproduced the
 /// other bit-for-bit.
 pub fn fleet_conformance_pair(
     fleet: &ScenarioFleet,

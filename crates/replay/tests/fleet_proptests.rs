@@ -1,11 +1,11 @@
-//! Property-based fleet determinism: a sharded fleet run at ANY worker
+//! Property-based fleet determinism: a fleet run at ANY worker
 //! count must reproduce, per VM, the findings and the recorded HTRC
 //! trace of running that VM alone, byte for byte.
 //!
 //! This is the tentpole contract of `hypertap_core::fleet` exercised
 //! end-to-end through real monitored guests: random base seeds sample
 //! random scenario mixes (workloads, lock faults, rootkit insertions)
-//! per VM, and random worker counts in {1, 2, 4, 8} shard them. The
+//! per VM, and random worker counts in {1, 2, 4, 8} run them. The
 //! recorded traces are compared with [`diff_traces`] under
 //! [`DiffPolicy::Exact`] on top of the raw byte equality, so a failure
 //! names the first divergent record instead of just "bytes differ".
@@ -26,7 +26,7 @@ fn quick_fleet(base_seed: u64) -> ScenarioFleet {
 }
 
 proptest! {
-    /// Per-VM findings and recorded traces from a sharded fleet run are
+    /// Per-VM findings and recorded traces from a multi-worker fleet run are
     /// byte-identical to running each VM alone, for every sampled
     /// worker count.
     #[test]

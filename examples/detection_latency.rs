@@ -76,7 +76,7 @@ fn run_trial(trial: u64, threshold: Duration, lat: &mut DetectionLatency) -> boo
 }
 
 fn main() {
-    let args = Args::parse_known(&["trials", "assert"]).unwrap_or_else(usage_exit);
+    let args = Args::parse_known(&["trials"], &["assert"]).unwrap_or_else(usage_exit);
     let trials: u64 = args.get("trials", 5).unwrap_or_else(usage_exit);
     let threshold = Duration::from_secs(2);
     let em_tick = Duration::from_millis(1); // TapVm builder default

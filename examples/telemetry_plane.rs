@@ -30,8 +30,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    let args =
-        Args::parse_known(&["vms", "workers", "serve-ms", "addr-file"]).unwrap_or_else(usage_exit);
+    let args = Args::parse_known(&["vms", "workers", "serve-ms", "addr-file"], &[])
+        .unwrap_or_else(usage_exit);
     let vms: usize = args.get("vms", 8).unwrap_or_else(usage_exit);
     let workers: usize = args.get("workers", 3).unwrap_or_else(usage_exit);
     let serve_ms: u64 = args.get("serve-ms", 0).unwrap_or_else(usage_exit);

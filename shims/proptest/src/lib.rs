@@ -263,8 +263,10 @@ pub mod prelude {
     }
 }
 
-/// Defines property tests. Each `fn name(inputs) { body }` becomes a `#[test]`
-/// that runs the body over many generated inputs.
+/// Defines property tests. Each `fn name(inputs) { body }` becomes a
+/// function that runs the body over many generated inputs. As upstream,
+/// the caller writes `#[test]` on each one; the macro adds none, so a
+/// property is registered once.
 ///
 /// Parameters take either form upstream allows:
 /// `x in strategy_expr` or `x: Type` (shorthand for `any::<Type>()`).
@@ -273,7 +275,6 @@ macro_rules! proptest {
     ($($(#[$meta:meta])* fn $name:ident($($params:tt)*) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 $crate::__proptest_run!(@accum [] $name $body $($params)*);
             }
@@ -393,16 +394,19 @@ mod tests {
     use crate::prelude::*;
 
     proptest! {
+        #[test]
         fn ranges_stay_in_bounds(x in 10u64..20, y in 0i32..5) {
             prop_assert!((10..20).contains(&x), "x out of range: {x}");
             prop_assert!((0..5).contains(&y));
         }
 
+        #[test]
         fn bare_type_params_work(v: u64, flag: bool) {
             let _ = flag;
             prop_assert_eq!(v, v);
         }
 
+        #[test]
         fn vec_strategy_respects_len(
             items in prop::collection::vec((0u64..512, 0u64..4096), 1..40),
         ) {
@@ -412,6 +416,7 @@ mod tests {
             }
         }
 
+        #[test]
         fn select_picks_from_choices(v in prop::sample::select(vec![1u8, 3, 5])) {
             prop_assert_ne!(v, 0);
             prop_assert!(v == 1 || v == 3 || v == 5);
