@@ -146,6 +146,29 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_number_is_a_value_not_a_flag() {
+        let a = args(&["--seed", "-1", "--full"]).unwrap();
+        assert_eq!(a.get::<i64>("seed", 0), Ok(-1));
+        let err = a.get::<u64>("seed", 0).unwrap_err();
+        assert!(err.contains("\"-1\" for --seed"), "{err}");
+        assert!(a.has("full"));
+    }
+
+    #[test]
+    fn a_repeated_flag_keeps_its_last_value() {
+        let a = args(&["--seed", "1", "--seed", "2"]).unwrap();
+        assert_eq!(a.get::<u64>("seed", 0), Ok(2));
+    }
+
+    #[test]
+    fn an_empty_argument_is_a_value() {
+        let a = args(&["--out", "", "--full"]).unwrap();
+        assert_eq!(a.get_str("out"), Some(""));
+        let err = a.get::<u64>("out", 0).unwrap_err();
+        assert!(err.contains("\"\" for --out"), "{err}");
+    }
+
+    #[test]
     fn a_switch_takes_no_value() {
         let err = args(&["--full", "3"]).unwrap_err();
         assert_eq!(err, "--full takes no value, got \"3\"");

@@ -755,6 +755,7 @@ mod tests {
         fleet: usize,
         log: SliceLog,
         deadline: std::time::Instant,
+        finish_panics: bool,
     }
 
     impl Logged {
@@ -788,6 +789,9 @@ mod tests {
 
         fn finish(&mut self) -> VmReport {
             self.note("finish");
+            if self.finish_panics {
+                panic!("finishing {} failed", self.id);
+            }
             VmReport {
                 stats: DeliveryStats { events_in: self.taken, ..Default::default() },
                 ..empty_report(self.id)
@@ -802,11 +806,12 @@ mod tests {
     }
 
     /// VM i runs `slices[i]` slices; building `build_panics` panics once
-    /// some VM has taken a slice.
+    /// some VM has taken a slice, and finishing `finish_panics` panics.
     struct LoggedFleet {
         slices: Vec<u64>,
         log: SliceLog,
         build_panics: Option<VmId>,
+        finish_panics: Option<VmId>,
     }
 
     impl LoggedFleet {
@@ -815,6 +820,7 @@ mod tests {
                 slices: slices.to_vec(),
                 log: Arc::default(),
                 build_panics: None,
+                finish_panics: None,
             })
         }
 
@@ -853,6 +859,7 @@ mod tests {
                 fleet: self.slices.len(),
                 log: Arc::clone(&self.log),
                 deadline: std::time::Instant::now() + std::time::Duration::from_secs(10),
+                finish_panics: self.finish_panics == Some(vm),
             };
             built.note("build");
             Box::new(built)
@@ -876,9 +883,14 @@ mod tests {
             assert_eq!(report_ids(&report), vec![0, 1, 2, 3, 4, 5, 6]);
             let log = workload.log();
             let builds: Vec<u32> = log.iter().filter(|e| e.0 == "build").map(|e| e.1 .0).collect();
-            assert_eq!(builds, vec![0, 1, 2, 3, 4, 5, 6], "VMs are built in claim (= id) order");
-            // On each thread, every VM it built runs to completion before
-            // the next: build, all its steps, finish, drop, back to back.
+            if workers == 1 {
+                assert_eq!(builds, vec![0, 1, 2, 3, 4, 5, 6], "VMs are built in id order");
+            }
+            assert_eq!(workload.ids("build"), vec![0, 1, 2, 3, 4, 5, 6], "each VM is built once");
+            // On each thread, the VMs it claimed ascend (a claim and its
+            // build are not atomic, so two threads' builds may interleave),
+            // and every VM it built runs to completion before the next:
+            // build, all its steps, finish, drop, back to back.
             let mut threads: Vec<&str> = log.iter().map(|e| e.2.as_str()).collect();
             threads.sort_unstable();
             threads.dedup();
@@ -886,8 +898,11 @@ mod tests {
             for thread in threads {
                 let ran: Vec<(&str, u32)> =
                     log.iter().filter(|e| e.2 == thread).map(|e| (e.0, e.1 .0)).collect();
+                let claimed: Vec<u32> =
+                    ran.iter().filter(|e| e.0 == "build").map(|e| e.1).collect();
+                assert!(claimed.windows(2).all(|w| w[0] < w[1]), "{thread} claimed {claimed:?}");
                 let mut expected = Vec::new();
-                for vm in ran.iter().filter(|e| e.0 == "build").map(|e| e.1) {
+                for &vm in &claimed {
                     expected.push(("build", vm));
                     expected.extend((0..slices[vm as usize]).map(|_| ("step", vm)));
                     expected.extend([("finish", vm), ("drop", vm)]);
@@ -992,6 +1007,81 @@ mod tests {
         assert_eq!(workload.ids("finish"), vec![0]);
         let steps = count(&workload.log(), "step");
         assert!(steps < 5_000, "vm0 ran {steps} slices: it was not stopped");
+    }
+
+    #[test]
+    fn a_panic_in_finish_stops_the_fleet_too() {
+        // vm1 finishes after one slice, and its finish fails while vm0,
+        // which runs until stopped, is held by the other worker.
+        let workload = Arc::new(LoggedFleet {
+            finish_panics: Some(VmId(1)),
+            ..Arc::into_inner(LoggedFleet::new(&[u64::MAX, 1, u64::MAX, u64::MAX])).unwrap()
+        });
+        let fleet = Arc::clone(&workload);
+        let result = std::panic::catch_unwind(|| run_fleet(fleet, FleetConfig::new(4, 2)));
+        let message = panic_message(result.expect_err("the finish panic must propagate"));
+        assert!(message.contains("finishing vm1 failed"), "{message}");
+        assert_eq!(workload.ids("build"), vec![0, 1], "a failure must not build an unclaimed VM");
+        assert_eq!(workload.ids("finish"), vec![0, 1], "vm0 is finished once, when stopped");
+        assert_eq!(workload.ids("drop"), vec![0, 1]);
+    }
+
+    #[test]
+    fn stop_after_every_vm_finished_reports_them_all() {
+        let workload = LoggedFleet::new(&[1, 2, 3]);
+        let host = FleetHost::launch(Arc::clone(&workload) as _, FleetConfig::new(3, 2));
+        workload.wait_for(|log| count(log, "drop") == 3);
+        let report = host.stop();
+        assert_eq!(report_ids(&report), vec![0, 1, 2], "a late stop loses no report");
+        let taken: Vec<u64> = report.per_vm.iter().map(|r| r.stats.events_in).collect();
+        assert_eq!(taken, vec![1, 2, 3], "every VM ran to completion");
+        assert_eq!(count(&workload.log(), "finish"), 3, "and was finished once");
+    }
+
+    #[test]
+    fn more_workers_than_vms_spawns_one_per_vm() {
+        let workload = LoggedFleet::new(&[2, 2, 2]);
+        let host = FleetHost::launch(Arc::clone(&workload) as _, FleetConfig::new(3, 8));
+        assert_eq!(host.worker_count(), 3);
+        assert_eq!(report_ids(&host.join()), vec![0, 1, 2]);
+        let mut threads: Vec<String> = workload.log().into_iter().map(|e| e.2).collect();
+        threads.sort_unstable();
+        threads.dedup();
+        assert!(threads
+            .iter()
+            .all(|t| ["fleet-worker-0", "fleet-worker-1", "fleet-worker-2"].contains(&t.as_str())));
+    }
+
+    #[test]
+    fn the_hub_sees_each_claimed_vm_on_the_worker_that_ran_it() {
+        use crate::telemetry::VmPhase;
+        // Three workers hold one never-ending VM each; the other three are
+        // never claimed, so the hub must never list them.
+        let workload = LoggedFleet::new(&[u64::MAX; 6]);
+        let hub = Arc::new(TelemetryHub::new());
+        let host = FleetHost::launch_with_telemetry(
+            Arc::clone(&workload) as _,
+            FleetConfig::new(6, 3),
+            Arc::clone(&hub),
+        );
+        workload.wait_for(|log| count(log, "step") >= 3 && count(log, "build") == 3);
+        host.stop();
+        let log = workload.log();
+        let vms = hub.vms();
+        assert_eq!(vms.iter().map(|s| s.vm.0).collect::<Vec<_>>(), vec![0, 1, 2]);
+        for s in &vms {
+            assert_eq!(s.phase, VmPhase::Done, "{}", s.vm);
+            let thread = &log.iter().find(|e| e.0 == "build" && e.1 == s.vm).unwrap().2;
+            assert_eq!(thread, &format!("fleet-worker-{}", s.worker), "{}", s.vm);
+            assert_eq!(s.slices, count_of(&log, "step", s.vm), "{}", s.vm);
+        }
+        let workers = hub.workers();
+        assert_eq!(workers.len(), 3);
+        assert!(workers.iter().all(|w| w.done));
+    }
+
+    fn count_of(log: &[(&'static str, VmId, String)], what: &str, vm: VmId) -> u64 {
+        log.iter().filter(|e| e.0 == what && e.1 == vm).count() as u64
     }
 
     #[test]

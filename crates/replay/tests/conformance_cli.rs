@@ -71,3 +71,39 @@ fn unknown_flags_are_rejected() {
     );
     assert!(out.stdout.is_empty(), "no conformance run may start");
 }
+
+#[test]
+fn fleet_mode_flags_are_checked_before_any_run() {
+    // A bare `--fleet` once ran 8 VMs; now every fleet flag needs its value.
+    for (args, needle) in [
+        (&["--fleet"][..], "--fleet needs a value"),
+        (&["--fleet", "--workers-left", "2"][..], "--fleet needs a value"),
+        (&["--fleet", "2", "--cap-ms"][..], "--cap-ms needs a value"),
+        (&["--fleet", "2", "--workers-right", "1O"][..], "\"1O\" for --workers-right"),
+    ] {
+        let out = conformance().args(args).output().expect("spawn conformance");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no conformance run may start");
+    }
+}
+
+#[test]
+fn an_uneven_worker_pair_is_bit_identical() {
+    let out = conformance()
+        .args(["--fleet", "6", "--workers-left", "2", "--workers-right", "3"])
+        .output()
+        .expect("spawn conformance");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "got {:?}\nstdout: {stdout}\nstderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("fleet conformance OK: 6 VMs bit-identical at 2 and 3 workers"),
+        "{stdout}"
+    );
+}

@@ -431,4 +431,137 @@ mod tests {
         let b: Vec<u64> = (0..10).map(|c| (0u64..1000).generate(&mut runner.rng_for(c))).collect();
         assert_eq!(a, b);
     }
+
+    // Properties without `#[test]`: plain functions, run by the tests below.
+    static PASSING_CASES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    proptest! {
+        fn counts_its_cases(_x in 0u8..10) {
+            PASSING_CASES.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        fn fails_above_four(x in 5u64..100) {
+            prop_assert!(x < 5, "x = {x}");
+        }
+
+        fn eq_fails(x in 1u64..2) {
+            prop_assert_eq!(x, 2);
+        }
+
+        fn ne_fails(x in 7u64..8) {
+            prop_assert_ne!(x, 7);
+        }
+    }
+
+    fn panic_text(property: fn()) -> String {
+        let payload = std::panic::catch_unwind(property).expect_err("the property must fail");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn a_passing_property_runs_every_case() {
+        counts_its_cases();
+        let cases = crate::test_runner::TestRunner::for_test("counts_its_cases").cases();
+        assert!(cases > 0);
+        assert_eq!(PASSING_CASES.load(std::sync::atomic::Ordering::SeqCst), cases);
+    }
+
+    #[test]
+    fn a_failing_property_panics_naming_itself_its_case_and_message() {
+        let text = panic_text(fails_above_four);
+        assert!(text.starts_with("proptest fails_above_four failed at case 0: x = "), "{text}");
+        let x: u64 = text.rsplit("x = ").next().unwrap().parse().expect("the input is reported");
+        assert!(x >= 5, "{text}");
+    }
+
+    #[test]
+    fn prop_assert_eq_failure_shows_both_sides() {
+        let text = panic_text(eq_fails);
+        assert!(text.ends_with("failed at case 0: assertion failed: 1 == 2"), "{text}");
+    }
+
+    #[test]
+    fn prop_assert_ne_failure_shows_both_sides() {
+        let text = panic_text(ne_fails);
+        assert!(text.ends_with("failed at case 0: assertion failed: 7 != 7"), "{text}");
+    }
+
+    #[test]
+    fn inclusive_ranges_reach_both_ends() {
+        use crate::strategy::Strategy;
+        let runner = crate::test_runner::TestRunner::for_test("inclusive");
+        let seen: Vec<u8> = (0..200).map(|c| (0u8..=3).generate(&mut runner.rng_for(c))).collect();
+        assert!(seen.iter().all(|v| *v <= 3));
+        assert!(seen.contains(&0) && seen.contains(&3), "{seen:?}");
+    }
+
+    #[test]
+    fn full_width_and_signed_ranges_stay_in_bounds() {
+        use crate::strategy::Strategy;
+        let runner = crate::test_runner::TestRunner::for_test("signed");
+        let mut negative = false;
+        for c in 0..200 {
+            let rng = &mut runner.rng_for(c);
+            let v = (-5i32..5).generate(rng);
+            assert!((-5..5).contains(&v), "{v}");
+            negative |= v < 0;
+            let _ = (i64::MIN..=i64::MAX).generate(rng);
+            let _ = (0u64..=u64::MAX).generate(rng);
+            let w = (i8::MIN..i8::MAX).generate(rng);
+            assert!(w < i8::MAX, "{w}");
+        }
+        assert!(negative, "a range across zero yields negatives");
+    }
+
+    #[test]
+    fn tuples_compose_their_strategies() {
+        use crate::strategy::Strategy;
+        let runner = crate::test_runner::TestRunner::for_test("tuples");
+        for c in 0..50 {
+            let (a, b, flag, d) =
+                (0u8..4, 100u32..=101, any::<bool>(), prop::sample::select(vec!['x']))
+                    .generate(&mut runner.rng_for(c));
+            assert!(a < 4 && (100..=101).contains(&b) && d == 'x', "{a} {b} {flag} {d}");
+        }
+    }
+
+    #[test]
+    fn any_reaches_both_bools_and_the_top_half_of_narrow_ints() {
+        use crate::strategy::Strategy;
+        let runner = crate::test_runner::TestRunner::for_test("any");
+        let bools: Vec<bool> =
+            (0..64).map(|c| any::<bool>().generate(&mut runner.rng_for(c))).collect();
+        assert!(bools.contains(&true) && bools.contains(&false));
+        let bytes: Vec<i8> =
+            (0..64).map(|c| any::<i8>().generate(&mut runner.rng_for(c))).collect();
+        assert!(bytes.iter().any(|b| *b < 0) && bytes.iter().any(|b| *b > 0), "{bytes:?}");
+    }
+
+    #[test]
+    fn streams_differ_by_test_name_and_by_case() {
+        use crate::strategy::Strategy;
+        let draw = |name: &str, case| {
+            let runner = crate::test_runner::TestRunner::for_test(name);
+            any::<u64>().generate(&mut runner.rng_for(case))
+        };
+        assert_ne!(draw("a", 0), draw("b", 0), "two properties get different inputs");
+        assert_ne!(draw("a", 0), draw("a", 1), "two cases get different inputs");
+    }
+
+    #[test]
+    fn select_reaches_every_choice_and_vec_honours_an_empty_length() {
+        use crate::strategy::Strategy;
+        let runner = crate::test_runner::TestRunner::for_test("select");
+        let picks: Vec<u8> = (0..100)
+            .map(|c| prop::sample::select(vec![1u8, 2, 3]).generate(&mut runner.rng_for(c)))
+            .collect();
+        for choice in [1, 2, 3] {
+            assert!(picks.contains(&choice), "{choice} never picked: {picks:?}");
+        }
+        let empty = prop::collection::vec(any::<u8>(), 0..1).generate(&mut runner.rng_for(0));
+        assert!(empty.is_empty());
+    }
 }
