@@ -113,7 +113,7 @@ impl KernelConfig {
 }
 
 /// Aggregate kernel statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Number of context switches performed (dispatches of a new task).
     pub context_switches: u64,
@@ -222,6 +222,10 @@ pub struct Kernel {
     stats: KernelStats,
     last_dispatch: Vec<SimTime>,
     mm_graveyard: Vec<Gpa>,
+    /// The reference form of a `Compute` op, for tests only: the op step
+    /// charges nothing and the first chunk waits for the next step.
+    #[cfg(test)]
+    two_step_compute: bool,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -270,6 +274,8 @@ impl Kernel {
             stats: KernelStats::default(),
             last_dispatch: vec![SimTime::ZERO; vcpus],
             mm_graveyard: Vec::new(),
+            #[cfg(test)]
+            two_step_compute: false,
         }
     }
 
@@ -1324,7 +1330,16 @@ impl Kernel {
 
         match op {
             UserOp::Compute(n) => {
-                self.tasks[slot].pending_compute = n;
+                // Asking for the op charges no time, so the first chunk
+                // folds into this step (DESIGN.md, "Hot path & caching").
+                #[cfg(test)]
+                if self.two_step_compute {
+                    self.tasks[slot].pending_compute = n;
+                    return StepOutcome::Continue;
+                }
+                let chunk = n.min(self.cfg.compute_chunk_ns);
+                cpu.compute(chunk);
+                self.tasks[slot].pending_compute = n - chunk;
             }
             UserOp::Emit(tag, detail) => {
                 cpu.compute(200);
@@ -2111,6 +2126,9 @@ impl GuestProgram for Kernel {
         self.run_current(cpu)
     }
 }
+
+#[cfg(test)]
+mod compute_fold;
 
 #[cfg(test)]
 mod tests {

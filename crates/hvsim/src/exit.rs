@@ -348,7 +348,7 @@ fn msr_slot(msr: Msr) -> usize {
 /// Running statistics over VM Exits: counts per [`ExitReason`] and the
 /// cumulative world-switch overhead charged to the guest. The Fig. 7
 /// performance experiments read these.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExitStats {
     counts: [u64; ExitReason::ALL.len()],
     overhead: Duration,

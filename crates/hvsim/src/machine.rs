@@ -32,6 +32,14 @@
 //! never moves another vCPU's clock backwards (moving one forward, as
 //! parking a vCPU does, only ends the burst sooner). The test-only
 //! reference loop in `machine/equivalence.rs` pins the equivalence.
+//!
+//! How much one step covers is the guest's choice. A step that charges no
+//! time and changes no wake-up, halt or lifecycle state can never end a
+//! burst, so the guest may merge it with the same vCPU's next step without
+//! changing any result. `hypertap-guestos`'s kernel does that with a user
+//! program's `Compute` op: the step that asks for the op also charges its
+//! first chunk. Step counts (`hvsim.steps_per_sim_ms`) measure host work,
+//! not simulated work.
 
 use crate::clock::{Duration, SimTime};
 use crate::cost::CostModel;
@@ -692,6 +700,12 @@ impl<H: Hypervisor> Machine<H> {
 
     /// Runs exactly `n` guest steps (testing convenience; ignores halts,
     /// pauses and timers, always stepping the earliest-clock vCPU).
+    ///
+    /// `n` counts [`GuestProgram::step`] calls, not guest operations: one
+    /// kernel step may cover a `Compute` op and its first chunk (see the
+    /// module docs, "Bursts"). So it suits hand-written guests whose steps
+    /// each do one fixed thing; drive a booted kernel with
+    /// [`Machine::run_until`].
     pub fn run_steps(&mut self, guest: &mut dyn GuestProgram, n: usize) {
         if self.vm.lifecycle == VmLifecycle::Uninit {
             self.vm.lifecycle = VmLifecycle::Running;
