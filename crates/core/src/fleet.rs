@@ -44,7 +44,7 @@ use crate::em::DeliveryStats;
 use crate::event::VmId;
 use crate::flight::panic_message;
 use crate::metrics::MetricsRegistry;
-use crate::telemetry::{FindingBus, TelemetryHub, VmProbe};
+use crate::telemetry::{TelemetryHub, VmProbe};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -171,8 +171,7 @@ impl FleetReport {
 /// A running fleet: worker threads claiming and running its VMs.
 ///
 /// Always joins its workers — via [`FleetHost::join`], [`FleetHost::stop`]
-/// or `Drop` — so a fleet can never leak threads (the same lifecycle
-/// discipline as `RhcServer::stop`).
+/// or `Drop` — so a fleet can never leak threads.
 pub struct FleetHost {
     handles: Vec<JoinHandle<Result<Vec<VmReport>, WorkerFailure>>>,
     stop: Arc<AtomicBool>,
@@ -196,8 +195,9 @@ impl FleetHost {
 
     /// Launches the fleet with a live [`TelemetryHub`] attached: workers
     /// report lifecycle (build/run/done), per-slice progress probes and
-    /// finished [`VmReport`]s to the hub, whose [`FindingBus`] streams
-    /// findings to subscribers as they land. Telemetry is host-side
+    /// finished [`VmReport`]s to the hub, whose
+    /// [`FindingBus`](crate::telemetry::FindingBus) streams findings to
+    /// subscribers as they land. Telemetry is host-side
     /// observation only — the per-VM schedule, traces and findings are
     /// bit-identical to an untapped [`FleetHost::launch`].
     pub fn launch_with_telemetry(
@@ -412,21 +412,12 @@ pub struct FleetAggregator {
     stats: DeliveryStats,
     findings: Vec<(VmId, Finding)>,
     metrics: MetricsRegistry,
-    bus: Option<FindingBus>,
 }
 
 impl FleetAggregator {
     /// An empty aggregator.
     pub fn new() -> Self {
         FleetAggregator::default()
-    }
-
-    /// Taps the aggregator with a live [`FindingBus`]: every finding in a
-    /// subsequently [`FleetAggregator::absorb`]ed report is also published
-    /// on the bus, tagged with the originating VM. The tap never blocks —
-    /// slow subscribers drop (and count) instead.
-    pub fn attach_bus(&mut self, bus: FindingBus) {
-        self.bus = Some(bus);
     }
 
     /// Folds one VM's report in.
@@ -438,9 +429,6 @@ impl FleetAggregator {
         self.stats.merge(report.stats);
         self.findings.extend(report.findings.iter().map(|f| (report.vm, f.clone())));
         self.metrics.merge(&report.metrics);
-        if let Some(bus) = &self.bus {
-            bus.publish_all(report.vm, &report.findings);
-        }
     }
 
     /// Number of VM reports absorbed.

@@ -95,6 +95,7 @@ pub mod latency;
 pub mod metrics;
 pub mod profile;
 pub mod rhc;
+mod serve;
 pub mod telemetry;
 pub mod vmi;
 

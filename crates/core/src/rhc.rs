@@ -13,15 +13,14 @@
 //! its integration test to demonstrate genuine out-of-machine checking.
 
 use crate::metrics::{Histogram, MetricsRegistry};
+use crate::serve::{self, Service};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 /// One heartbeat: a sampled VM exit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -210,47 +209,14 @@ impl RhcTransport for TcpTransport {
     }
 }
 
-/// A TCP RHC server: accepts any number of monitored machines concurrently
-/// (one reader thread per connection) and feeds a shared thread-safe
-/// checker. [`RhcServer::stop`] shuts the whole server down cleanly;
-/// dropping without `stop` is best-effort and never blocks.
+/// A TCP RHC server: accepts a bounded number of monitored machines
+/// concurrently (one reader thread per connection) and feeds a shared
+/// thread-safe checker. [`RhcServer::stop`] shuts the whole server
+/// down cleanly; dropping without `stop` is best-effort and never blocks.
 #[derive(Debug)]
 pub struct RhcServer {
-    addr: SocketAddr,
+    service: Service,
     checker: Arc<Mutex<RemoteHealthChecker>>,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Reads newline-delimited JSON heartbeats from one client until EOF, a
-/// hard I/O error, or server shutdown. The short read timeout is what lets
-/// the thread notice the shutdown flag while a client is idle; a timeout
-/// leaves any partially-read line buffered for the next iteration.
-fn serve_connection(
-    stream: TcpStream,
-    sink: Arc<Mutex<RemoteHealthChecker>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(25)));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF: client closed cleanly.
-            Ok(_) => {
-                if let Ok(sample) = serde_json::from_str::<HeartbeatSample>(line.trim_end()) {
-                    sink.lock().expect("checker lock").on_sample(sample);
-                }
-                line.clear();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => break,
-        }
-    }
 }
 
 impl RhcServer {
@@ -260,37 +226,23 @@ impl RhcServer {
     ///
     /// Propagates bind errors.
     pub fn start(timeout_ns: u64) -> std::io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
         let checker = Arc::new(Mutex::new(RemoteHealthChecker::new(timeout_ns)));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sink = checker.clone();
-        let stop_flag = shutdown.clone();
-        let handle = std::thread::spawn(move || {
-            let mut readers: Vec<JoinHandle<()>> = Vec::new();
-            while let Ok((stream, _)) = listener.accept() {
-                // `stop` wakes us with a throwaway connection after setting
-                // the flag; check it before serving.
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
+        let sink = Arc::clone(&checker);
+        // Each connection sends newline-delimited JSON heartbeats.
+        let service =
+            Service::listen("hypertap-rhc", serve::MAX_CONNECTIONS, move |mut reader, stop| {
+                while let Some(line) = reader.next_line(stop) {
+                    if let Ok(sample) = serde_json::from_str::<HeartbeatSample>(line) {
+                        sink.lock().expect("checker lock").on_sample(sample);
+                    }
                 }
-                let sink = sink.clone();
-                let conn_flag = stop_flag.clone();
-                readers.push(std::thread::spawn(move || {
-                    serve_connection(stream, sink, conn_flag);
-                }));
-                readers.retain(|h| !h.is_finished());
-            }
-            for h in readers {
-                let _ = h.join();
-            }
-        });
-        Ok(RhcServer { addr, checker, shutdown, handle: Some(handle) })
+            })?;
+        Ok(RhcServer { service, checker })
     }
 
     /// The address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.service.addr()
     }
 
     /// Shared access to the checker (for running `check` and reading stats).
@@ -301,25 +253,7 @@ impl RhcServer {
     /// Stops accepting, unblocks every reader, and joins the accept thread
     /// (which in turn joins the readers). Idempotent.
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RhcServer {
-    fn drop(&mut self) {
-        // Best-effort, never blocking: raise the flag and nudge the accept
-        // loop so the threads wind down on their own, but do not join in a
-        // destructor. Call `stop` for a synchronous shutdown.
-        self.shutdown.store(true, Ordering::SeqCst);
-        if self.handle.is_some() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        self.handle.take();
+        self.service.stop();
     }
 }
 
@@ -459,5 +393,21 @@ mod tests {
         server.stop();
         server.stop(); // second stop is a no-op
         drop(server); // drop after stop must not block or panic
+    }
+
+    #[test]
+    fn an_over_long_line_closes_only_that_connection() {
+        let mut server = RhcServer::start(1_000_000).unwrap();
+        crate::serve::tests::assert_closed_unanswered(server.addr(), &[b'{'; 1 << 20]);
+        let checker = server.checker();
+        assert_eq!(checker.lock().unwrap().received(), 0, "a cut-off line is no sample");
+        let mut client = TcpTransport::connect(server.addr()).unwrap();
+        client.send(&HeartbeatSample { time_ns: 100, seq: 1 });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while checker.lock().unwrap().received() != 1 {
+            assert!(std::time::Instant::now() < deadline, "a fresh client was not served");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        server.stop();
     }
 }

@@ -14,8 +14,9 @@
 //!   lifecycle, per-worker progress heartbeats, the merged metrics
 //!   snapshot, and the degraded flag the self-watchdog raises.
 //! * [`TelemetryServer`] — a zero-dependency HTTP/1.1 server (std
-//!   `TcpListener`, the same per-connection-thread + shutdown-flag
-//!   lifecycle as `rhc::RhcServer`) serving `/metrics` (Prometheus text),
+//!   `TcpListener`, on the crate's one service skeleton with
+//!   `rhc::RhcServer`: capped per-connection threads, bounded request
+//!   lines and headers, a write timeout) serving `/metrics` (Prometheus text),
 //!   `/metrics.json` (snapshot schema v1), `/healthz`, `/vms`, and
 //!   `/findings` as a live NDJSON stream fed by the bus.
 //! * [`SelfWatch`] — the watchdog thread: when a worker stops making
@@ -36,13 +37,13 @@ use crate::audit::{Finding, Severity};
 use crate::event::VmId;
 use crate::fleet::VmReport;
 use crate::metrics::MetricsRegistry;
+use crate::serve::{self, LineReader, Service};
 use serde::Value;
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 /// The pseudo-VM id `selfwatch` findings are published under: the monitor
@@ -51,10 +52,6 @@ pub const MONITOR_VM: VmId = VmId(u32::MAX);
 
 /// Default bounded queue capacity for a `/findings` subscriber.
 pub const DEFAULT_SUBSCRIBER_CAPACITY: usize = 1024;
-
-// ---------------------------------------------------------------------------
-// FindingBus
-// ---------------------------------------------------------------------------
 
 struct BusSlot {
     id: u64,
@@ -198,10 +195,6 @@ pub fn finding_json(vm: VmId, f: &Finding) -> String {
     serde_json::to_string(&value).expect("finding serializes")
 }
 
-// ---------------------------------------------------------------------------
-// TelemetryHub
-// ---------------------------------------------------------------------------
-
 /// Where a fleet VM is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VmPhase {
@@ -273,32 +266,33 @@ pub struct WorkerHealth {
 
 #[derive(Default)]
 struct HubState {
-    vms: Vec<VmStatus>,
-    workers: Vec<WorkerHealth>,
+    vms: BTreeMap<VmId, VmStatus>,
+    workers: BTreeMap<usize, WorkerHealth>,
     metrics: MetricsRegistry,
     merged_from: u64,
     stall_episodes: u64,
-    degraded: bool,
+}
+
+impl HubState {
+    /// Degraded while the self-watchdog holds any worker stalled.
+    fn degraded(&self) -> bool {
+        self.workers.values().any(|w| w.stalled)
+    }
 }
 
 /// Shared host-side state of a monitored fleet: what the telemetry server
 /// serves and the self-watchdog inspects. All methods are cheap and take a
 /// single internal lock; nothing here touches simulated state.
+#[derive(Default)]
 pub struct TelemetryHub {
     bus: FindingBus,
     state: Mutex<HubState>,
 }
 
-impl Default for TelemetryHub {
-    fn default() -> Self {
-        TelemetryHub::new()
-    }
-}
-
 impl TelemetryHub {
     /// An empty hub with a fresh bus.
     pub fn new() -> Self {
-        TelemetryHub { bus: FindingBus::new(), state: Mutex::new(HubState::default()) }
+        TelemetryHub::default()
     }
 
     /// The hub's finding bus (cloneable handle).
@@ -316,27 +310,18 @@ impl TelemetryHub {
     }
 
     fn worker_mut(state: &mut HubState, worker: usize) -> &mut WorkerHealth {
-        if let Some(at) = state.workers.iter().position(|w| w.worker == worker) {
-            return &mut state.workers[at];
-        }
-        state.workers.push(WorkerHealth {
+        state.workers.entry(worker).or_insert_with(|| WorkerHealth {
             worker,
             beats: 0,
             last_beat: Instant::now(),
             done: false,
             stalled: false,
             last_now_ns: 0,
-        });
-        state.workers.sort_by_key(|w| w.worker);
-        let at = state.workers.iter().position(|w| w.worker == worker).expect("just inserted");
-        &mut state.workers[at]
+        })
     }
 
     fn vm_mut(state: &mut HubState, vm: VmId, worker: usize) -> &mut VmStatus {
-        if let Some(at) = state.vms.iter().position(|s| s.vm == vm) {
-            return &mut state.vms[at];
-        }
-        state.vms.push(VmStatus {
+        state.vms.entry(vm).or_insert_with(|| VmStatus {
             vm,
             phase: VmPhase::Building,
             worker,
@@ -344,17 +329,12 @@ impl TelemetryHub {
             probe: VmProbe::default(),
             findings: 0,
             halted: false,
-        });
-        state.vms.sort_by_key(|s| s.vm.0);
-        let at = state.vms.iter().position(|s| s.vm == vm).expect("just inserted");
-        &mut state.vms[at]
+        })
     }
 
     /// A worker thread entered its loop.
     pub fn worker_started(&self, worker: usize) {
-        let mut state = self.lock();
-        let w = Self::worker_mut(&mut state, worker);
-        w.last_beat = Instant::now();
+        Self::worker_mut(&mut self.lock(), worker).last_beat = Instant::now();
     }
 
     /// A worker thread exited its loop (it can no longer stall).
@@ -363,7 +343,6 @@ impl TelemetryHub {
         let w = Self::worker_mut(&mut state, worker);
         w.done = true;
         w.stalled = false;
-        state.degraded = state.workers.iter().any(|w| w.stalled);
     }
 
     /// `build_vm` started for `vm` on `worker`.
@@ -417,17 +396,17 @@ impl TelemetryHub {
 
     /// Whether the self-watchdog currently reports the monitor degraded.
     pub fn degraded(&self) -> bool {
-        self.lock().degraded
+        self.lock().degraded()
     }
 
     /// Snapshot of every VM's status, ascending id order.
     pub fn vms(&self) -> Vec<VmStatus> {
-        self.lock().vms.clone()
+        self.lock().vms.values().cloned().collect()
     }
 
     /// Snapshot of every worker's health row.
     pub fn workers(&self) -> Vec<WorkerHealth> {
-        self.lock().workers.clone()
+        self.lock().workers.values().cloned().collect()
     }
 
     /// The scrape snapshot: the merged per-VM metrics plus the telemetry
@@ -452,7 +431,7 @@ impl TelemetryHub {
             self.bus.subscriber_count() as f64,
         );
         for phase in [VmPhase::Building, VmPhase::Running, VmPhase::Done] {
-            let n = state.vms.iter().filter(|s| s.phase == phase).count();
+            let n = state.vms.values().filter(|s| s.phase == phase).count();
             reg.gauge_with(
                 "hypertap_telemetry_vms",
                 &[("phase", phase.as_str())],
@@ -463,7 +442,7 @@ impl TelemetryHub {
         reg.gauge(
             "hypertap_telemetry_workers_stalled",
             "workers the self-watchdog currently considers stalled",
-            state.workers.iter().filter(|w| w.stalled).count() as f64,
+            state.workers.values().filter(|w| w.stalled).count() as f64,
         );
         reg.counter(
             "hypertap_telemetry_stall_episodes_total",
@@ -478,10 +457,10 @@ impl TelemetryHub {
     /// `/healthz` body + status: `(healthy, json)`.
     pub fn healthz(&self) -> (bool, String) {
         let state = self.lock();
-        let healthy = !state.degraded;
+        let healthy = !state.degraded();
         let workers = state
             .workers
-            .iter()
+            .values()
             .map(|w| {
                 Value::Object(vec![
                     ("worker".to_owned(), Value::U64(w.worker as u64)),
@@ -496,7 +475,7 @@ impl TelemetryHub {
             })
             .collect();
         let by_phase = |phase: VmPhase| -> u64 {
-            state.vms.iter().filter(|s| s.phase == phase).count() as u64
+            state.vms.values().filter(|s| s.phase == phase).count() as u64
         };
         let value = Value::Object(vec![
             ("status".to_owned(), Value::Str(if healthy { "ok" } else { "degraded" }.to_owned())),
@@ -522,7 +501,7 @@ impl TelemetryHub {
         let state = self.lock();
         let rows = state
             .vms
-            .iter()
+            .values()
             .map(|s| {
                 Value::Object(vec![
                     ("vm".to_owned(), Value::U64(s.vm.0 as u64)),
@@ -549,30 +528,24 @@ impl TelemetryHub {
         let mut raised = Vec::new();
         {
             let mut state = self.lock();
-            let mut episodes = 0u64;
-            for w in &mut state.workers {
+            for w in state.workers.values_mut() {
                 let age = w.last_beat.elapsed();
-                if !w.done && age > max_age {
-                    if !w.stalled {
-                        w.stalled = true;
-                        episodes += 1;
-                        raised.push(Finding::new(
-                            "selfwatch",
-                            hypertap_hvsim::clock::SimTime::from_nanos(w.last_now_ns),
-                            Severity::Alert,
-                            format!(
-                                "MonitorStalled: worker {} made no progress for {:?} \
-                                     ({} beats observed)",
-                                w.worker, age, w.beats
-                            ),
-                        ));
-                    }
-                } else if w.stalled {
-                    w.stalled = false;
+                let stalled = !w.done && age > max_age;
+                if stalled && !w.stalled {
+                    raised.push(Finding::new(
+                        "selfwatch",
+                        hypertap_hvsim::clock::SimTime::from_nanos(w.last_now_ns),
+                        Severity::Alert,
+                        format!(
+                            "MonitorStalled: worker {} made no progress for {:?} \
+                                 ({} beats observed)",
+                            w.worker, age, w.beats
+                        ),
+                    ));
                 }
+                w.stalled = stalled;
             }
-            state.stall_episodes += episodes;
-            state.degraded = state.workers.iter().any(|w| w.stalled);
+            state.stall_episodes += raised.len() as u64;
         }
         for f in &raised {
             self.bus.publish(MONITOR_VM, f);
@@ -581,70 +554,42 @@ impl TelemetryHub {
     }
 }
 
-// ---------------------------------------------------------------------------
-// SelfWatch
-// ---------------------------------------------------------------------------
-
 /// The monitor self-watchdog thread: sweeps the hub's worker heartbeats
 /// several times per period so a stall is noticed within one watchdog
 /// period of exceeding it. Stop via [`SelfWatch::stop`]; drop is
 /// best-effort and never blocks.
 pub struct SelfWatch {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    service: Service,
 }
 
 impl SelfWatch {
     /// Starts watching `hub` with the given stall period.
     pub fn start(hub: Arc<TelemetryHub>, period: StdDuration) -> SelfWatch {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
         // Sweeping at period/4 bounds detection delay to one sweep past
         // the stall threshold: degradation within one period of wedging.
         let sweep = period / 4;
-        let handle = std::thread::Builder::new()
-            .name("hypertap-selfwatch".to_owned())
-            .spawn(move || {
-                while !flag.load(Ordering::SeqCst) {
-                    std::thread::sleep(sweep);
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    hub.check_stalls(period);
-                }
-            })
-            .expect("spawn selfwatch");
-        SelfWatch { stop, handle: Some(handle) }
+        let service = Service::spawn("hypertap-selfwatch", move |stop| loop {
+            std::thread::sleep(sweep);
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            hub.check_stalls(period);
+        });
+        SelfWatch { service }
     }
 
     /// Stops the watchdog and joins its thread. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.service.stop();
     }
 }
 
-impl Drop for SelfWatch {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.handle.take();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryServer
-// ---------------------------------------------------------------------------
-
-/// The telemetry HTTP/1.1 server. Same lifecycle as `rhc::RhcServer`: an
-/// accept thread spawns one handler thread per connection, all watching a
-/// shared shutdown flag; [`TelemetryServer::stop`] raises the flag, nudges
-/// the accept loop with a throwaway connection, and joins.
+/// The telemetry HTTP/1.1 server, on the service skeleton it shares with
+/// `rhc::RhcServer`: capped per-connection threads, bounded request lines
+/// and headers, and a write timeout. [`TelemetryServer::stop`] joins every
+/// thread; dropping without `stop` never blocks.
 pub struct TelemetryServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    service: Service,
 }
 
 impl TelemetryServer {
@@ -654,193 +599,96 @@ impl TelemetryServer {
     ///
     /// Propagates bind errors.
     pub fn start(hub: Arc<TelemetryHub>) -> std::io::Result<TelemetryServer> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&shutdown);
-        let handle = std::thread::Builder::new()
-            .name("hypertap-telemetry".to_owned())
-            .spawn(move || {
-                let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-                while let Ok((stream, _)) = listener.accept() {
-                    // `stop` wakes us with a throwaway connection after
-                    // setting the flag; check it before serving.
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let hub = Arc::clone(&hub);
-                    let conn_flag = Arc::clone(&stop_flag);
-                    handlers.push(std::thread::spawn(move || {
-                        serve_http_connection(stream, &hub, &conn_flag);
-                    }));
-                    handlers.retain(|h| !h.is_finished());
-                }
-                for h in handlers {
-                    let _ = h.join();
-                }
-            })
-            .expect("spawn telemetry server");
-        Ok(TelemetryServer { addr, shutdown, handle: Some(handle) })
+        let service =
+            Service::listen("hypertap-telemetry", serve::MAX_CONNECTIONS, move |reader, stop| {
+                serve_http_connection(reader, &hub, stop)
+            })?;
+        Ok(TelemetryServer { service })
     }
 
     /// The address to scrape.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.service.addr()
     }
 
     /// Stops accepting, unblocks every handler, and joins. Idempotent.
     pub fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.service.stop();
     }
 }
 
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        // Best-effort, never blocking (call `stop` for a synchronous
-        // shutdown): raise the flag and nudge the accept loop.
-        self.shutdown.store(true, Ordering::SeqCst);
-        if self.handle.is_some() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        self.handle.take();
-    }
-}
+/// Header lines one request may carry.
+const MAX_HEADERS: usize = 64;
 
-/// Reads one HTTP request (request line + headers) and returns the path,
-/// tolerating read timeouts so the handler can notice shutdown while a
-/// client dribbles its request in.
-fn read_request_path(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> Option<String> {
-    let mut request_line = String::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return None;
-        }
-        match reader.read_line(&mut request_line) {
-            Ok(0) => return None, // EOF before a full request.
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => return None,
-        }
-    }
+/// Reads one HTTP request (request line + headers, contents ignored) and
+/// returns its path, or `!METHOD` for a method other than GET. `None`
+/// closes the connection: EOF, shutdown, a malformed request line, an
+/// over-long line, or more than [`MAX_HEADERS`] headers.
+fn read_request_path(reader: &mut LineReader, stop: &AtomicBool) -> Option<String> {
     // GET /path HTTP/1.1
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next()?;
-    let path = parts.next()?.to_owned();
-    if method != "GET" {
-        return Some(format!("!{method}"));
-    }
-    // Drain headers up to the blank line; ignore their contents.
-    let mut header = String::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header.trim().is_empty() => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => break,
+    let mut parts = reader.next_line(stop)?.split_whitespace();
+    let (method, path) = (parts.next()?, parts.next()?);
+    let path = if method == "GET" { path.to_owned() } else { format!("!{method}") };
+    for _ in 0..=MAX_HEADERS {
+        if reader.next_line(stop)?.trim().is_empty() {
+            return Some(path);
         }
     }
-    Some(path)
+    None
 }
 
-fn write_response(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
+/// Streams the finding bus as NDJSON until a write fails or the server
+/// shuts down. The subscriber is bounded, so a stalled client drops
+/// findings rather than backing the bus up, and the write timeout ends a
+/// client that stops reading.
+fn stream_findings(stream: &mut TcpStream, hub: &TelemetryHub, stop: &AtomicBool) {
+    let sub = hub.subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
+    let mut out = String::from(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
+    );
+    while !stop.load(Ordering::SeqCst) {
+        for (vm, f) in sub.drain() {
+            out.push_str(&finding_json(vm, &f));
+            out.push('\n');
+        }
+        if stream.write_all(out.as_bytes()).and_then(|()| stream.flush()).is_err() {
+            return;
+        }
+        out.clear();
+        std::thread::sleep(StdDuration::from_millis(25));
+    }
+}
+
+fn serve_http_connection(mut reader: LineReader, hub: &TelemetryHub, stop: &AtomicBool) {
+    let Some(path) = read_request_path(&mut reader, stop) else {
+        return;
+    };
+    let (json, text) = ("application/json", "text/plain");
+    let (status, content_type, body) = match path.split('?').next().unwrap_or("") {
+        "/metrics" => ("200 OK", "text/plain; version=0.0.4", hub.scrape().to_prometheus()),
+        "/metrics.json" => ("200 OK", json, hub.scrape().to_json()),
+        "/healthz" => match hub.healthz() {
+            (true, body) => ("200 OK", json, body),
+            (false, body) => ("503 Service Unavailable", json, body),
+        },
+        "/vms" => ("200 OK", json, hub.vms_json()),
+        "/findings" => return stream_findings(reader.stream(), hub, stop),
+        p if p.starts_with('!') => {
+            ("405 Method Not Allowed", text, "only GET is supported\n".into())
+        }
+        _ => {
+            let hint = "unknown path; try /metrics /metrics.json /healthz /vms /findings\n";
+            ("404 Not Found", text, hint.to_owned())
+        }
+    };
     let head = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n",
         body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let stream = reader.stream();
+    let _ = stream.write_all(head.as_bytes()).and_then(|()| stream.write_all(body.as_bytes()));
     let _ = stream.flush();
-}
-
-/// Streams the finding bus as NDJSON until the client disconnects or the
-/// server shuts down. The subscriber is bounded, so a stalled client
-/// drops findings rather than backing the bus up.
-fn stream_findings(stream: &mut TcpStream, hub: &TelemetryHub, shutdown: &AtomicBool) {
-    let sub = hub.subscribe(DEFAULT_SUBSCRIBER_CAPACITY);
-    let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-                Connection: close\r\n\r\n";
-    if stream.write_all(head.as_bytes()).is_err() {
-        return;
-    }
-    while !shutdown.load(Ordering::SeqCst) {
-        let batch = sub.drain();
-        for (vm, f) in &batch {
-            let mut line = finding_json(*vm, f);
-            line.push('\n');
-            if stream.write_all(line.as_bytes()).is_err() {
-                return;
-            }
-        }
-        if stream.flush().is_err() {
-            return;
-        }
-        std::thread::sleep(StdDuration::from_millis(25));
-    }
-}
-
-fn serve_http_connection(mut stream: TcpStream, hub: &TelemetryHub, shutdown: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(StdDuration::from_millis(25)));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let Some(path) = read_request_path(&mut reader, shutdown) else {
-        return;
-    };
-    let route = path.split('?').next().unwrap_or("");
-    match route {
-        "/metrics" => {
-            let body = hub.scrape().to_prometheus();
-            write_response(&mut stream, "200 OK", "text/plain; version=0.0.4", &body);
-        }
-        "/metrics.json" => {
-            let body = hub.scrape().to_json();
-            write_response(&mut stream, "200 OK", "application/json", &body);
-        }
-        "/healthz" => {
-            let (healthy, body) = hub.healthz();
-            let status = if healthy { "200 OK" } else { "503 Service Unavailable" };
-            write_response(&mut stream, status, "application/json", &body);
-        }
-        "/vms" => {
-            write_response(&mut stream, "200 OK", "application/json", &hub.vms_json());
-        }
-        "/findings" => stream_findings(&mut stream, hub, shutdown),
-        p if p.starts_with('!') => {
-            write_response(
-                &mut stream,
-                "405 Method Not Allowed",
-                "text/plain",
-                "only GET is supported\n",
-            );
-        }
-        _ => {
-            write_response(
-                &mut stream,
-                "404 Not Found",
-                "text/plain",
-                "unknown path; try /metrics /metrics.json /healthz /vms /findings\n",
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -849,7 +697,7 @@ mod tests {
     use crate::em::DeliveryStats;
     use crate::fleet::{run_fleet, FleetConfig, FleetHost, FleetVm, FleetWorkload, SliceOutcome};
     use hypertap_hvsim::clock::SimTime;
-    use std::io::Read as _;
+    use std::io::{BufRead, BufReader, Read as _};
 
     fn mk_finding(i: u64) -> Finding {
         Finding::new("t", SimTime::from_nanos(i), Severity::Info, format!("f{i}"))
@@ -1200,22 +1048,52 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_bus_tap_publishes_on_absorb() {
-        let bus = FindingBus::new();
-        let sub = bus.subscribe(16);
-        let mut agg = crate::fleet::FleetAggregator::new();
-        agg.attach_bus(bus.clone());
-        let report = VmReport {
-            vm: VmId(5),
-            findings: vec![mk_finding(1), mk_finding(2)],
-            stats: DeliveryStats::default(),
-            metrics: MetricsRegistry::new(),
-            halted: false,
-            payload: Vec::new(),
-        };
-        agg.absorb(&report);
-        let got = sub.drain();
-        assert_eq!(got.len(), 2);
-        assert!(got.iter().all(|(vm, _)| *vm == VmId(5)));
+    fn over_long_lines_and_too_many_headers_close_the_connection() {
+        let hub = Arc::new(TelemetryHub::new());
+        let mut server = TelemetryServer::start(Arc::clone(&hub)).expect("server starts");
+        let pad = "a".repeat(1 << 20);
+        let headers = "X: y\r\n".repeat(MAX_HEADERS + 1);
+        for payload in [
+            pad.clone(),
+            format!("GET /healthz HTTP/1.1\r\nX-Pad: {pad}"),
+            format!("GET /healthz HTTP/1.1\r\n{headers}\r\n"),
+        ] {
+            crate::serve::tests::assert_closed_unanswered(server.addr(), payload.as_bytes());
+            let (status, _) = http_get(server.addr(), "/healthz");
+            assert!(status.contains("200"), "a fresh client was not served: {status}");
+        }
+        server.stop();
+    }
+
+    #[test]
+    fn a_findings_client_that_stops_reading_cannot_wedge_stop() {
+        let hub = Arc::new(TelemetryHub::new());
+        let mut server = TelemetryServer::start(Arc::clone(&hub)).expect("server starts");
+        let mut client = TcpStream::connect(server.addr()).expect("connect");
+        client.write_all(b"GET /findings HTTP/1.1\r\n\r\n").unwrap();
+        let deadline = Instant::now() + StdDuration::from_secs(5);
+        while hub.bus().subscriber_count() == 0 {
+            assert!(Instant::now() < deadline, "stream subscriber never registered");
+            std::thread::sleep(StdDuration::from_millis(5));
+        }
+        // 16 MiB, far more than the socket buffers hold: once the handler
+        // has drained its queue it is blocked writing to a client that
+        // never reads.
+        let big = Finding::new("t", SimTime::ZERO, Severity::Info, "x".repeat(64 << 10));
+        for _ in 0..256 {
+            hub.bus().publish(VmId(0), &big);
+        }
+        while !hub.bus.inner.lock().unwrap().subscribers[0].queue.is_empty() {
+            assert!(Instant::now() < deadline, "the handler never drained its queue");
+            std::thread::sleep(StdDuration::from_millis(5));
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.stop();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(StdDuration::from_secs(5)).expect("stop() is wedged by a stalled client");
+        stopper.join().expect("stop returns");
+        drop(client);
     }
 }
